@@ -4,9 +4,9 @@ positroid varieties."""
 from .patterns import (AnchorSet, JugglingPattern, KSubset, PatternError,
                        components_of_special_fiber, enumerate_patterns,
                        parse_pattern, pattern_from_anchor, pattern_leq,
-                       rotate, subset_leq, validate_pattern)
+                       rotate, validate_pattern)
 from .poly import Monomial, Polynomial
-from .groebner import GroebnerBasis, Ideal, buchberger, krull_dimension, normal_form
+from .groebner import GroebnerBasis, Ideal, buchberger
 from .hilbert import graded_component_dim
 from .ideals import (classical_plucker_generators, epsilon_relations,
                      global_positroid_ideal, schubert_vanishing_generators,

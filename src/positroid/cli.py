@@ -25,11 +25,18 @@ from .reports import VerificationReport
 DEFAULT_EPSILONS = "0,1,2,-1"
 
 
-def _parse_epsilons(text: str) -> list[Fraction]:
+def _parse_fraction(text: str) -> Fraction:
     try:
-        return [Fraction(x.strip()) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise click.UsageError(f"bad epsilon list {text!r}: {exc}")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(f"bad rational number {text!r}: {exc}")
+
+
+def _parse_epsilons(text: str) -> list[Fraction]:
+    epsilons = [_parse_fraction(x) for x in text.split(",") if x.strip()]
+    if not epsilons:
+        raise click.UsageError(f"empty epsilon list {text!r}")
+    return epsilons
 
 
 def _parse_multidegree(text: str, n: int) -> tuple[int, ...]:
@@ -110,7 +117,7 @@ def cmd_ideal(pattern, epsilon, as_json, out):
     J = _pattern_arg(pattern)
     ideal = global_positroid_ideal(J)
     if epsilon is not None:
-        ideal = ideal.specialize(Fraction(epsilon))
+        ideal = ideal.specialize(_parse_fraction(epsilon))
     if as_json:
         payload = {
             "schema": "positroid-report/1",
@@ -160,8 +167,8 @@ def cmd_hilbert(pattern, multidegree, epsilon_list, as_json, out, timings):
 @click.argument("pattern", required=False)
 @click.option("--all", "sweep_all", is_flag=True,
               help="Sweep every (k, n) pattern.")
-@click.option("--max-degree", default=2, show_default=True,
-              help="Bound on |m|.")
+@click.option("--max-degree", type=click.IntRange(min=0), default=2,
+              show_default=True, help="Bound on |m|.")
 @click.option("--epsilon-list", default=DEFAULT_EPSILONS, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -172,7 +179,10 @@ def cmd_flatness(k, n, pattern, sweep_all, max_degree, epsilon_list,
     admissible count for k=1)."""
     epsilons = _parse_epsilons(epsilon_list)
     if sweep_all:
-        patterns = enumerate_patterns(k, n)
+        try:
+            patterns = enumerate_patterns(k, n)
+        except PatternError as exc:
+            raise click.UsageError(str(exc))
     elif pattern:
         patterns = [_pattern_arg(pattern)]
     else:
@@ -230,7 +240,7 @@ def cmd_components(pattern, as_json, out, timings):
 def cmd_dimension(pattern, epsilon, as_json, out, timings):
     """Projective dimension of the fiber at epsilon (Krull minus n)."""
     J = _pattern_arg(pattern)
-    eps = Fraction(epsilon)
+    eps = _parse_fraction(epsilon)
     ideal = global_positroid_ideal(J).specialize(eps)
     try:
         krull = ideal.groebner().krull_dimension()
@@ -291,7 +301,7 @@ def cmd_membership(point_file, pattern, epsilon, as_json, out, timings):
     except (ValueError, KeyError) as exc:
         raise click.UsageError(f"bad point file: {exc}")
     if epsilon is not None:
-        point = FiberPoint(Fraction(epsilon), point.spaces)
+        point = FiberPoint(_parse_fraction(epsilon), point.spaces)
     member = in_positroid_fiber(point, J)
     report = VerificationReport(
         "membership", {"pattern": str(J), "k": J.k, "n": J.n,

@@ -4,14 +4,13 @@ k=1 parametrized points."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .patterns import (AnchorSet, JugglingPattern, KSubset, all_subsets,
+from .patterns import (AnchorSet, JugglingPattern, KSubset,
                        pattern_from_anchor, rotate)
 from .poly import Var
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .patterns import all_subsets
@@ -92,15 +91,47 @@ def _add_exp(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _reduce(f: dict, basis: list[dict], leads: list[tuple], key,
+            max_terms: int) -> dict:
+    """The remainder of f under the division algorithm by `basis`, where
+    leads[i] is the leading exponent of basis[i]: no term of the result is
+    divisible by any leading exponent. The first basis element whose lead
+    divides the current leading term is used. Raises ResourceCapExceeded
+    when the working polynomial exceeds `max_terms` terms."""
+    f = dict(f)
+    remainder: dict = {}
+    while f:
+        lead = max(f, key=key)
+        for g, lg in zip(basis, leads):
+            if _divides(lg, lead):
+                break
+        else:
+            remainder[lead] = f.pop(lead)
+            continue
+        q = _sub_exp(lead, lg)
+        factor = f[lead] / g[lg]
+        for e, c in g.items():
+            t = _add_exp(e, q)
+            s = f.get(t, Fraction(0)) - factor * c
+            if s:
+                f[t] = s
+            else:
+                f.pop(t, None)
+        if len(f) > max_terms:
+            raise ResourceCapExceeded(
+                f"term count {len(f)} exceeds cap {max_terms}")
+    return remainder
+
+
 class GroebnerBasis:
     """A reduced Groebner basis over a fixed ordered variable universe."""
 
-    def __init__(self, variables: tuple[Var, ...], order: str,
-                 dense_basis: list[dict], key):
+    def __init__(self, variables: tuple[Var, ...], dense_basis: list[dict],
+                 key, max_terms: int):
         self.variables = variables
-        self.order = order
         self._index = {v: i for i, v in enumerate(variables)}
         self._key = key
+        self._max_terms = max_terms
         self._basis = dense_basis
         self._leads = [max(g, key=key) for g in dense_basis]
 
@@ -112,35 +143,16 @@ class GroebnerBasis:
         return [Monomial([(self.variables[i], x) for i, x in enumerate(e)
                           if x]) for e in self._leads]
 
-    def _normal_form_dense(self, f: dict) -> dict:
-        f = dict(f)
-        remainder: dict = {}
-        while f:
-            lead = max(f, key=self._key)
-            reduced = False
-            for g, lg in zip(self._basis, self._leads):
-                if _divides(lg, lead):
-                    q = _sub_exp(lead, lg)
-                    factor = f[lead] / g[lg]
-                    for e, c in g.items():
-                        t = _add_exp(e, q)
-                        s = f.get(t, Fraction(0)) - factor * c
-                        if s:
-                            f[t] = s
-                        else:
-                            f.pop(t, None)
-                    reduced = True
-                    break
-            if not reduced:
-                remainder[lead] = f.pop(lead)
-        return remainder
-
     def normal_form(self, p: Polynomial) -> Polynomial:
+        """The normal form of p, under the term cap the basis was computed
+        with."""
         missing = [v for v in p.variables() if v not in self._index]
         if missing:
             raise ValueError(f"variables outside the universe: {missing}")
         dense = _to_dense(p, self._index, len(self.variables))
-        return _to_polynomial(self._normal_form_dense(dense), self.variables)
+        return _to_polynomial(_reduce(dense, self._basis, self._leads,
+                                      self._key, self._max_terms),
+                              self.variables)
 
     def krull_dimension(self) -> int:
         """Dimension of the quotient: maximum number of variables whose
@@ -215,34 +227,6 @@ def buchberger(generators: list[Polynomial],
             basis.append(d)
             leads.append(max(d, key=key))
 
-    def reduce_fully(f: dict) -> dict:
-        out: dict = {}
-        f = dict(f)
-        while f:
-            lead = max(f, key=key)
-            hit = None
-            for i, lg in enumerate(leads):
-                if _divides(lg, lead):
-                    hit = i
-                    break
-            if hit is None:
-                out[lead] = f.pop(lead)
-                continue
-            g = basis[hit]
-            q = _sub_exp(lead, leads[hit])
-            factor = f[lead] / g[leads[hit]]
-            for e, c in g.items():
-                t = _add_exp(e, q)
-                s = f.get(t, Fraction(0)) - factor * c
-                if s:
-                    f[t] = s
-                else:
-                    f.pop(t, None)
-            if len(f) > caps.max_terms:
-                raise ResourceCapExceeded(
-                    f"term count {len(f)} exceeds cap {caps.max_terms}")
-        return out
-
     # S-pair queue ordered by lcm (normal selection strategy)
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
 
@@ -285,7 +269,7 @@ def buchberger(generators: list[Polynomial],
                 s[t] = v
             else:
                 s.pop(t, None)
-        r = reduce_fully(s)
+        r = _reduce(s, basis, leads, key, caps.max_terms)
         if not r:
             continue
         if sum(max(r, key=key)) > caps.max_total_degree:
@@ -308,49 +292,21 @@ def buchberger(generators: list[Polynomial],
         if not any(j != i and _divides(leads[j], lg) and
                    (leads[j] != lg or j < i) for j in range(len(leads))):
             keep.append(i)
-    reduced_basis = [basis[i] for i in keep]
-    reduced_leads = [leads[i] for i in keep]
     final = []
-    for i, g in enumerate(reduced_basis):
-        others = [reduced_basis[j] for j in range(len(reduced_basis))
-                  if j != i]
-        other_leads = [reduced_leads[j] for j in range(len(reduced_basis))
-                       if j != i]
-        f = dict(g)
-        out: dict = {}
-        while f:
-            lead = max(f, key=key)
-            hit = None
-            for t, lg in enumerate(other_leads):
-                if _divides(lg, lead):
-                    hit = t
-                    break
-            if hit is None:
-                out[lead] = f.pop(lead)
-                continue
-            og = others[hit]
-            q = _sub_exp(lead, other_leads[hit])
-            factor = f[lead] / og[other_leads[hit]]
-            for e, c in og.items():
-                t2 = _add_exp(e, q)
-                v = f.get(t2, Fraction(0)) - factor * c
-                if v:
-                    f[t2] = v
-                else:
-                    f.pop(t2, None)
-        if out:
-            lead = max(out, key=key)
-            final.append({e: c / out[lead] for e, c in out.items()})
+    for i in keep:
+        others = [t for t in keep if t != i]
+        r = _reduce(basis[i], [basis[t] for t in others],
+                    [leads[t] for t in others], key, caps.max_terms)
+        c = r[leads[i]]
+        final.append({e: v / c for e, v in r.items()})
     final.sort(key=lambda g: key(max(g, key=key)))
-    return GroebnerBasis(variables, order, final, key)
+    return GroebnerBasis(variables, final, key, caps.max_terms)
 
 
-def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    return basis.normal_form(p)
-
-
-def krull_dimension(basis: GroebnerBasis) -> int:
-    return basis.krull_dimension()
+def _dedup(polys) -> list[Polynomial]:
+    """The nonzero polynomials of `polys` made primitive, first occurrence
+    of each kept: a repeat up to a rational factor is dropped."""
+    return list(dict.fromkeys(p.primitive() for p in polys if p))
 
 
 def plucker_universe(k: int, n: int, colors: list[int] | None = None,
@@ -389,24 +345,9 @@ class Ideal:
                                         self.universe, self.order, caps)
         return self._groebner
 
-    def with_generators(self, generators) -> "Ideal":
-        return Ideal(self.k, self.n, tuple(generators), self.has_epsilon,
-                     self.order)
-
     def specialize(self, value) -> "Ideal":
         """Substitute epsilon by a rational constant, dropping generators
-        that vanish."""
-        gens = []
-        seen = set()
-        for g in self.generators:
-            s = g.substitute_epsilon(value).primitive()
-            if s.is_zero():
-                continue
-            kkey = tuple(sorted(((m.exps, c) for m, c in s.terms.items()),
-                                key=repr))
-            if kkey in seen:
-                continue
-            seen.add(kkey)
-            gens.append(s)
+        that vanish or repeat."""
+        gens = _dedup(g.substitute_epsilon(value) for g in self.generators)
         return Ideal(self.k, self.n, tuple(gens), has_epsilon=False,
                      order=self.order)

@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement, product
 from . import linalg
 from .groebner import Ideal, ResourceCapExceeded
 from .patterns import all_subsets
-from .poly import MONOMIAL_ONE, Monomial, Polynomial
+from .poly import Monomial, Polynomial
 
 MAX_COMPONENT_MONOMIALS = 200000
 

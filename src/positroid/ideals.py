@@ -10,25 +10,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .groebner import Ideal
+from .groebner import Ideal, _dedup
 from .patterns import JugglingPattern, all_subsets
 from .poly import Polynomial
-
-
-def _dedup(polys):
-    out = []
-    seen = set()
-    for p in polys:
-        if p.is_zero():
-            continue
-        p = p.primitive()
-        key = frozenset((m.exps, c) for m, c in p.terms.items())
-        neg = frozenset((m.exps, -c) for m, c in p.terms.items())
-        if key in seen or neg in seen:
-            continue
-        seen.add(key)
-        out.append(p)
-    return out
 
 
 def classical_plucker_generators(k: int, n: int, a: int) -> list[Polynomial]:

@@ -80,7 +80,3 @@ def det(rows: Sequence[Sequence]) -> Fraction:
                 for j in range(c, n):
                     m[i][j] -= f * m[c][j]
     return sign * out
-
-
-def rows_rank_fraction(rows: Sequence[Sequence[Fraction]]) -> int:
-    return rank(rows)

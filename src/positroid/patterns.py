@@ -3,8 +3,7 @@ anchor-set patterns and component counting for the special fiber."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -63,22 +62,6 @@ class KSubset:
 
     def __str__(self):
         return "{" + ",".join(map(str, self.elements)) + "}"
-
-
-def subset_leq(I: KSubset, J: KSubset) -> bool:
-    return I.leq(J)
-
-
-def shift_subset(I: KSubset, c: int) -> KSubset:
-    return I.shift(c)
-
-
-def unshift_subset(I: KSubset, c: int) -> KSubset:
-    return I.unshift(c)
-
-
-def d_shift(I: KSubset, c: int) -> int:
-    return I.d_shift(c)
 
 
 def all_subsets(k: int, n: int) -> list[KSubset]:
@@ -283,7 +266,3 @@ def parse_pattern(text: str) -> JugglingPattern:
         if isinstance(exc, PatternError):
             raise
         raise PatternError(f"malformed pattern string {text!r}") from exc
-
-
-def pattern_to_json_str(J: JugglingPattern) -> str:
-    return json.dumps(J.to_json(), sort_keys=True)

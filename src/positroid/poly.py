@@ -8,7 +8,6 @@ permutation; repeated indices give the zero polynomial.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping

@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
-from positroid import linalg
 from positroid.fibers import (
     FiberError,
     Subspace,
@@ -25,7 +24,6 @@ from positroid.ideals import classical_plucker_generators, \
     global_positroid_ideal
 from positroid.k1basis import (
     ColoredMonomial,
-    ZeroInQuotient,
     count_admissible,
     expected_count,
     is_admissible,

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from positroid import k1basis
@@ -165,6 +166,33 @@ class TestMembership:
         path.write_text("{\"nope\": 1}")
         assert run("membership", "--point", str(path),
                    "--pattern", "1,1,1").exit_code == 2
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("args", [
+        ("ideal", "1,2", "--epsilon", "abc"),
+        ("ideal", "1,2", "--epsilon", "1/0"),
+        ("dim", "1,2", "--epsilon", "x"),
+        ("membership", "--point", "POINT", "--pattern", "1,1,1",
+         "--epsilon", "1/0"),
+        ("hilbert", "1,2", "--multidegree", "1,1", "--epsilon-list", "0,1/0"),
+        ("hilbert", "1,2", "--multidegree", "1,1", "--epsilon-list", ","),
+        ("flatness", "1", "2", "1,2", "--epsilon-list", "0,x"),
+        ("basis", "--pattern", "1,2", "--multidegree", "1,1",
+         "--epsilon-list", "1/0"),
+        ("flatness", "1", "9", "--all"),
+        ("flatness", "0", "3", "--all"),
+        ("flatness", "1", "3", "--all", "--max-degree", "-1"),
+    ])
+    def test_usage_error_without_traceback(self, args, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(
+            torus_fixed_point(AnchorSet(3, (0,)), 1).to_json()))
+        res = run(*(str(path) if a == "POINT" else a for a in args))
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "Error: " in res.output
 
 
 class TestDeterminism:

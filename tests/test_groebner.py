@@ -1,9 +1,11 @@
 """Tests for Buchberger, normal forms, and Krull dimension."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from positroid.groebner import (
-    GroebnerBasis,
     Ideal,
     ResourceCapExceeded,
     ResourceCaps,
@@ -11,7 +13,7 @@ from positroid.groebner import (
     plucker_universe,
 )
 from positroid.ideals import classical_plucker_generators
-from positroid.poly import EPSILON, Polynomial, plucker_var
+from positroid.poly import EPSILON, Monomial, Polynomial, plucker_var
 
 
 def D(a, *idx):
@@ -90,6 +92,16 @@ class TestResourceCaps:
             buchberger([Polynomial.variable(x) + Polynomial.variable(y)],
                        _simple_vars(2), caps=caps)
 
+    def test_term_cap_bounds_normal_forms(self):
+        # Modulo x - y - z, x^2 reduces to (y + z)^2, three terms, and x^3
+        # to (y + z)^3, four.
+        x, y, z = (Polynomial.variable(v) for v in _simple_vars(3))
+        gb = buchberger([x - y - z], _simple_vars(3),
+                        caps=ResourceCaps(max_terms=3))
+        assert gb.normal_form(x * x) == y * y + (y * z).scale(2) + z * z
+        with pytest.raises(ResourceCapExceeded):
+            gb.normal_form(x * x * x)
+
     def test_degree_cap_triggers(self):
         vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
         gens = classical_plucker_generators(2, 4, 0)
@@ -129,3 +141,87 @@ class TestIdealWrapper:
         gens = [D(0, 1) * D(0, 2)]
         ideal = Ideal(k=1, n=2, generators=gens, has_epsilon=False)
         assert ideal.groebner() is ideal.groebner()
+
+
+# -- properties of the division routine on small random ideals ---------------
+
+def _small_ideals(nvars):
+    """Lists of 1-3 polynomials with 1-3 terms, exponents <= 2 and small
+    integer coefficients in the first `nvars` simple variables."""
+    term_exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.integers(-3, 3).filter(bool)
+    poly = st.dictionaries(term_exps, coeff, min_size=1, max_size=3)
+    return st.lists(poly, min_size=1, max_size=3)
+
+
+def _to_poly(terms, vars_):
+    return Polynomial({Monomial(zip(vars_, e)): c for e, c in terms.items()})
+
+
+def _as_dict(p, vars_):
+    """A polynomial as {exponent tuple: coefficient} over `vars_`."""
+    out = {}
+    for m, c in p.terms.items():
+        exps = dict(m.exps)
+        out[tuple(exps.get(v, 0) for v in vars_)] = c
+    return out
+
+
+def _s_polynomial(f, lf, g, lg):
+    """S(f, g) for monic f, g with leading monomials lf, lg."""
+    lcm = dict(lf.exps)
+    for v, e in lg.exps:
+        lcm[v] = max(lcm.get(v, 0), e)
+
+    def cofactor(lead):
+        d = dict(lead.exps)
+        return Polynomial({Monomial((v, e - d.get(v, 0))
+                                    for v, e in lcm.items()): 1})
+
+    return cofactor(lf) * f - cofactor(lg) * g
+
+
+ideal_and_vars = st.integers(3, 4).flatmap(
+    lambda nv: st.tuples(_small_ideals(nv), st.just(_simple_vars(nv))))
+
+
+class TestDivisionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(ideal_and_vars)
+    def test_s_pairs_and_generators_reduce_to_zero(self, case):
+        terms, vars_ = case
+        gens = [_to_poly(t, vars_) for t in terms]
+        gb = buchberger(gens, vars_)
+        basis, leads = gb.polynomials, gb.leading_monomials()
+        for i in range(len(basis)):
+            for j in range(i):
+                s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
+                assert gb.normal_form(s).is_zero()
+        for g in gens:
+            assert gb.normal_form(g).is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(ideal_and_vars, st.randoms(use_true_random=False))
+    def test_basis_independent_of_generator_order(self, case, rnd):
+        terms, vars_ = case
+        gens = [_to_poly(t, vars_) for t in terms]
+        shuffled = list(gens)
+        rnd.shuffle(shuffled)
+        assert (buchberger(gens, vars_).polynomials ==
+                buchberger(shuffled, vars_).polynomials)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ideal_and_vars)
+    def test_matches_sympy_grlex(self, case):
+        sympy = pytest.importorskip("sympy")
+        terms, vars_ = case
+        gb = buchberger([_to_poly(t, vars_) for t in terms], vars_)
+        ours = {frozenset(_as_dict(g, vars_).items()) for g in gb.polynomials}
+        xs = sympy.symbols(f"x1:{len(vars_) + 1}")
+        exprs = [sum(c * sympy.prod(x ** e for x, e in zip(xs, exp))
+                     for exp, c in t.items()) for t in terms]
+        reference = sympy.groebner(exprs, *xs, order="grlex", domain="QQ")
+        theirs = {frozenset((m, Fraction(int(c.p), int(c.q)))
+                            for m, c in p.terms())
+                  for p in reference.polys}
+        assert ours == theirs

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from positroid.groebner import Ideal, plucker_universe
+from positroid.groebner import Ideal
 from positroid.hilbert import graded_component_dim, monomials_of_multidegree
 from positroid.ideals import (
     classical_plucker_generators,
@@ -86,8 +86,7 @@ class TestEpsilonRelations:
 class TestGlobalIdeal:
     def test_vanishes_on_torus_fixed_points(self):
         from positroid.fibers import plucker_assignment, torus_fixed_point
-        from positroid.patterns import (AnchorSet,
-                                        components_of_special_fiber)
+        from positroid.patterns import components_of_special_fiber
         J = P(1, 3, (1,), (1,), (2,))
         ideal = global_positroid_ideal(J)
         for S in components_of_special_fiber(J):
@@ -110,6 +109,38 @@ class TestGlobalIdeal:
                     asg = plucker_assignment(torus_fixed_point(S, eps))
                     for g in ideal.generators:
                         assert g.evaluate(asg) == 0, (str(J), str(S), eps)
+
+    SIGN_WITNESS_EPSILONS = (1, 2, -1, Fraction(1, 3))
+
+    @staticmethod
+    def _constant_2_4_member(eps):
+        # U_0 is not a coordinate subspace, so several Pluecker coordinates
+        # of each vertex are nonzero, unlike at a torus fixed point.
+        from positroid.fibers import FiberPoint, Subspace, map_subspace
+        U0 = Subspace(4, ((-1, 0, -1, 0), (0, 0, 1, 1)))
+        return FiberPoint(eps, tuple(Subspace(4, map_subspace(U0, eps, b))
+                                     for b in range(4)))
+
+    def test_constant_2_4_point_is_a_fiber_member(self):
+        from positroid.fibers import in_positroid_fiber
+        for eps in self.SIGN_WITNESS_EPSILONS:
+            assert in_positroid_fiber(self._constant_2_4_member(eps),
+                                      constant_pattern(2, 4)), eps
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "even-k sign: the shift relations of epsilon_relations and the "
+        "quiver map w_1 -> eps*w_n of fibers differ by the sign "
+        "(-1)^(d1(k-d1) + d2(k-d2)), so e*D0_13*D1_23 - D0_34*D1_24 is "
+        "2*eps on this fiber member"))
+    def test_k2_generators_vanish_on_constant_fiber_member(self):
+        from positroid.fibers import plucker_assignment
+        ideal = global_positroid_ideal(constant_pattern(2, 4))
+        nonzero = []
+        for eps in self.SIGN_WITNESS_EPSILONS:
+            asg = plucker_assignment(self._constant_2_4_member(eps))
+            nonzero.extend((str(eps), poly_to_text(g))
+                           for g in ideal.generators if g.evaluate(asg))
+        assert not nonzero
 
     def test_contains_shifted_vanishing_variable(self):
         # D0_2*D1_j lies in the ideal of 1,2 for every j (shift relation

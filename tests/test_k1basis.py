@@ -5,7 +5,6 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from positroid import hilbert
 from positroid.k1basis import (
