@@ -82,7 +82,19 @@ def _emit(report: VerificationReport, as_json: bool, out, timings: bool):
     sys.exit(0 if report.passed else 1)
 
 
-@click.group()
+class _Main(click.Group):
+    """The verb group. A resource limit hit by any verb is reported here as
+    a usage error: exit 2 and one `Error:` line, no traceback. `flatness`
+    records its cap hits as failed cases before they reach this point."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ResourceCapExceeded as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Exact computations on global positroid varieties."""
 
@@ -242,10 +254,7 @@ def cmd_dimension(pattern, epsilon, as_json, out, timings):
     J = _pattern_arg(pattern)
     eps = _parse_fraction(epsilon)
     ideal = global_positroid_ideal(J).specialize(eps)
-    try:
-        krull = ideal.groebner().krull_dimension()
-    except ResourceCapExceeded as exc:
-        raise click.ClickException(str(exc))
+    krull = ideal.groebner().krull_dimension()
     report = VerificationReport(
         "dim", {"pattern": str(J), "k": J.k, "n": J.n,
                 "epsilon": str(eps)})

@@ -10,52 +10,32 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .patterns import all_subsets
-from .poly import EPSILON, Monomial, Polynomial, Var, var_sort_key
+from .poly import EPSILON, Monomial, Polynomial, Var, content, var_sort_key
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A configured degree/size cap was hit; never silently truncated."""
+    """A resource limit was hit; results are never silently truncated."""
 
 
-def _max_terms_from_env() -> int:
-    return int(os.environ.get("POSITROID_MAX_TERMS", "200000"))
+# The resource limits of every computation, one fixed policy: the largest
+# working polynomial of a division, the largest Groebner basis, the largest
+# total degree of a generator or basis element, and the largest graded
+# component `hilbert` builds a matrix for.
+MAX_TERMS = int(os.environ.get("POSITROID_MAX_TERMS", "200000"))
+MAX_BASIS_SIZE = 20000
+MAX_TOTAL_DEGREE = 80
+MAX_COMPONENT_MONOMIALS = 200000
 
 
-@dataclass
-class ResourceCaps:
-    max_basis_size: int = 20000
-    max_total_degree: int = 80
-    max_terms: int = field(default_factory=_max_terms_from_env)
-
-    @classmethod
-    def from_env(cls) -> "ResourceCaps":
-        return cls()
-
-
-DEFAULT_CAPS = ResourceCaps()
-
-
-def _order_key_factory(order: str, nplucker: int, has_eps: bool):
-    """Key functions on dense exponent tuples (plucker vars first, epsilon
-    last when present). Larger key = larger monomial."""
-    if order == "grlex":
-        def key(e):
-            pv = e[:nplucker]
-            return (sum(pv), pv, e[nplucker] if has_eps else 0)
-    elif order == "grevlex":
-        def key(e):
-            pv = e[:nplucker]
-            return (sum(pv), tuple(-x for x in reversed(pv)),
-                    e[nplucker] if has_eps else 0)
-    else:
-        raise ValueError(f"unknown monomial order {order!r}")
+def _grlex_key(nplucker: int, has_eps: bool):
+    """The grlex key on dense exponent tuples (Pluecker variables first,
+    epsilon last when present). Larger key = larger monomial."""
+    def key(e):
+        pv = e[:nplucker]
+        return (sum(pv), pv, e[nplucker] if has_eps else 0)
     return key
-
-
-DEFAULT_ORDER = "grlex"
 
 
 def _to_dense(p: Polynomial, index: dict[Var, int], nvars: int):
@@ -91,13 +71,12 @@ def _add_exp(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _reduce(f: dict, basis: list[dict], leads: list[tuple], key,
-            max_terms: int) -> dict:
+def _reduce(f: dict, basis: list[dict], leads: list[tuple], key) -> dict:
     """The remainder of f under the division algorithm by `basis`, where
     leads[i] is the leading exponent of basis[i]: no term of the result is
     divisible by any leading exponent. The first basis element whose lead
     divides the current leading term is used. Raises ResourceCapExceeded
-    when the working polynomial exceeds `max_terms` terms."""
+    when the working polynomial exceeds MAX_TERMS terms."""
     f = dict(f)
     remainder: dict = {}
     while f:
@@ -117,9 +96,9 @@ def _reduce(f: dict, basis: list[dict], leads: list[tuple], key,
                 f[t] = s
             else:
                 f.pop(t, None)
-        if len(f) > max_terms:
+        if len(f) > MAX_TERMS:
             raise ResourceCapExceeded(
-                f"term count {len(f)} exceeds cap {max_terms}")
+                f"term count {len(f)} exceeds cap {MAX_TERMS}")
     return remainder
 
 
@@ -127,11 +106,10 @@ class GroebnerBasis:
     """A reduced Groebner basis over a fixed ordered variable universe."""
 
     def __init__(self, variables: tuple[Var, ...], dense_basis: list[dict],
-                 key, max_terms: int):
+                 key):
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
         self._key = key
-        self._max_terms = max_terms
         self._basis = dense_basis
         self._leads = [max(g, key=key) for g in dense_basis]
 
@@ -144,15 +122,13 @@ class GroebnerBasis:
                           if x]) for e in self._leads]
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """The normal form of p, under the term cap the basis was computed
-        with."""
+        """The normal form of p."""
         missing = [v for v in p.variables() if v not in self._index]
         if missing:
             raise ValueError(f"variables outside the universe: {missing}")
         dense = _to_dense(p, self._index, len(self.variables))
         return _to_polynomial(_reduce(dense, self._basis, self._leads,
-                                      self._key, self._max_terms),
-                              self.variables)
+                                      self._key), self.variables)
 
     def krull_dimension(self) -> int:
         """Dimension of the quotient: maximum number of variables whose
@@ -183,27 +159,19 @@ class GroebnerBasis:
 
 def _normalize_dense(g: dict, key) -> dict:
     """Make primitive with positive leading coefficient."""
-    lead = max(g, key=key)
-    num = 0
-    den = 1
-    for c in g.values():
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    content = Fraction(num, den)
-    if g[lead] < 0:
-        content = -content
-    return {e: c / content for e, c in g.items()}
+    c = content(g.values())
+    if g[max(g, key=key)] < 0:
+        c = -c
+    return {e: v / c for e, v in g.items()}
 
 
 def buchberger(generators: list[Polynomial],
-               variables: tuple[Var, ...],
-               order: str = DEFAULT_ORDER,
-               caps: ResourceCaps = DEFAULT_CAPS) -> GroebnerBasis:
-    """Compute the reduced Groebner basis of the ideal generated by
+               variables: tuple[Var, ...]) -> GroebnerBasis:
+    """Compute the reduced grlex Groebner basis of the ideal generated by
     `generators` in the given ordered variable universe."""
     has_eps = EPSILON in variables
     nplucker = len(variables) - (1 if has_eps else 0)
-    key = _order_key_factory(order, nplucker, has_eps)
+    key = _grlex_key(nplucker, has_eps)
     index = {v: i for i, v in enumerate(variables)}
     nvars = len(variables)
 
@@ -215,13 +183,13 @@ def buchberger(generators: list[Polynomial],
         missing = [v for v in p.variables() if v not in index]
         if missing:
             raise ValueError(f"variables outside the universe: {missing}")
-        if len(p.terms) > caps.max_terms:
+        if len(p.terms) > MAX_TERMS:
             raise ResourceCapExceeded(
-                f"generator has {len(p.terms)} terms, cap {caps.max_terms}")
+                f"generator has {len(p.terms)} terms, cap {MAX_TERMS}")
         deg = p.total_degree()
-        if deg > caps.max_total_degree:
+        if deg > MAX_TOTAL_DEGREE:
             raise ResourceCapExceeded(
-                f"generator degree {deg} exceeds cap {caps.max_total_degree}")
+                f"generator degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
         d = _normalize_dense(_to_dense(p, index, nvars), key)
         if d not in basis:
             basis.append(d)
@@ -269,19 +237,19 @@ def buchberger(generators: list[Polynomial],
                 s[t] = v
             else:
                 s.pop(t, None)
-        r = _reduce(s, basis, leads, key, caps.max_terms)
+        r = _reduce(s, basis, leads, key)
         if not r:
             continue
-        if sum(max(r, key=key)) > caps.max_total_degree:
+        if sum(max(r, key=key)) > MAX_TOTAL_DEGREE:
             raise ResourceCapExceeded(
                 f"degree {sum(max(r, key=key))} exceeds cap "
-                f"{caps.max_total_degree}")
+                f"{MAX_TOTAL_DEGREE}")
         r = _normalize_dense(r, key)
         basis.append(r)
         leads.append(max(r, key=key))
-        if len(basis) > caps.max_basis_size:
+        if len(basis) > MAX_BASIS_SIZE:
             raise ResourceCapExceeded(
-                f"basis size exceeds cap {caps.max_basis_size}")
+                f"basis size exceeds cap {MAX_BASIS_SIZE}")
         new = len(basis) - 1
         for t in range(new):
             pairs.add((new, t))
@@ -296,11 +264,11 @@ def buchberger(generators: list[Polynomial],
     for i in keep:
         others = [t for t in keep if t != i]
         r = _reduce(basis[i], [basis[t] for t in others],
-                    [leads[t] for t in others], key, caps.max_terms)
+                    [leads[t] for t in others], key)
         c = r[leads[i]]
         final.append({e: v / c for e, v in r.items()})
     final.sort(key=lambda g: key(max(g, key=key)))
-    return GroebnerBasis(variables, final, key, caps.max_terms)
+    return GroebnerBasis(variables, final, key)
 
 
 def _dedup(polys) -> list[Polynomial]:
@@ -330,7 +298,6 @@ class Ideal:
     n: int
     generators: tuple[Polynomial, ...]
     has_epsilon: bool = True
-    order: str = DEFAULT_ORDER
     _groebner: GroebnerBasis | None = field(default=None, repr=False,
                                             compare=False)
 
@@ -339,15 +306,13 @@ class Ideal:
         return plucker_universe(self.k, self.n,
                                 with_epsilon=self.has_epsilon)
 
-    def groebner(self, caps: ResourceCaps = DEFAULT_CAPS) -> GroebnerBasis:
+    def groebner(self) -> GroebnerBasis:
         if self._groebner is None:
-            self._groebner = buchberger(list(self.generators),
-                                        self.universe, self.order, caps)
+            self._groebner = buchberger(list(self.generators), self.universe)
         return self._groebner
 
     def specialize(self, value) -> "Ideal":
         """Substitute epsilon by a rational constant, dropping generators
         that vanish or repeat."""
         gens = _dedup(g.substitute_epsilon(value) for g in self.generators)
-        return Ideal(self.k, self.n, tuple(gens), has_epsilon=False,
-                     order=self.order)
+        return Ideal(self.k, self.n, tuple(gens), has_epsilon=False)

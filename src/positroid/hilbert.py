@@ -5,12 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from . import linalg
-from .groebner import Ideal, ResourceCapExceeded
+from . import groebner, linalg
 from .patterns import all_subsets
 from .poly import Monomial, Polynomial
-
-MAX_COMPONENT_MONOMIALS = 200000
 
 
 def monomials_of_multidegree(k: int, n: int,
@@ -33,10 +30,10 @@ def monomials_of_multidegree(k: int, n: int,
     total = 1
     for opts in per_color:
         total *= len(opts)
-        if total > MAX_COMPONENT_MONOMIALS:
-            raise ResourceCapExceeded(
+        if total > groebner.MAX_COMPONENT_MONOMIALS:
+            raise groebner.ResourceCapExceeded(
                 f"multidegree {m} has more than "
-                f"{MAX_COMPONENT_MONOMIALS} monomials")
+                f"{groebner.MAX_COMPONENT_MONOMIALS} monomials")
     out = []
     for pick in product(*per_color):
         exps = []
@@ -46,7 +43,7 @@ def monomials_of_multidegree(k: int, n: int,
     return out
 
 
-def graded_component_dim(ideal: Ideal, m: tuple[int, ...]) -> int:
+def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     """Dimension of the multidegree-m component of the quotient ring.
 
     Requires a specialized (epsilon-free) ideal: the count of multidegree-m

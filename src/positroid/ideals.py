@@ -131,7 +131,3 @@ def global_positroid_ideal(J: JugglingPattern) -> Ideal:
     gens.extend(linear)
     gens.extend(_drop_terms(g, zero) for g in relations)
     return Ideal(J.k, J.n, tuple(_dedup(gens)), has_epsilon=True)
-
-
-def specialize(ideal: Ideal, epsilon_value) -> Ideal:
-    return ideal.specialize(epsilon_value)

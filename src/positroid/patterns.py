@@ -139,21 +139,10 @@ def first_violation(entries: Iterable[KSubset]) -> tuple[int, int] | None:
     return None
 
 
-def validate_pattern(k: int, n: int,
-                     entries: Iterable[KSubset]) -> JugglingPattern:
-    """Build a validated pattern; raises PatternError naming the first
-    violated (b, j) otherwise."""
-    return JugglingPattern(k, n, tuple(entries))
-
-
 def rotate(J: JugglingPattern, steps: int = 1) -> JugglingPattern:
     """rot(J_0,...,J_{n-1}) = (J_1,...,J_{n-1},J_0), iterated `steps` times."""
     s = steps % J.n
     return JugglingPattern(J.k, J.n, J.entries[s:] + J.entries[:s])
-
-
-def pattern_leq(J: JugglingPattern, J2: JugglingPattern) -> bool:
-    return J.leq(J2)
 
 
 @dataclass(frozen=True, order=True)
@@ -200,8 +189,7 @@ def enumerate_patterns(k: int, n: int,
     if not 0 < k < n:
         raise PatternError(f"need 0 < k < n, got k={k}, n={n}")
     if n > max_n:
-        raise PatternError(
-            f"n={n} exceeds the enumeration bound {max_n}; raise max_n")
+        raise PatternError(f"n={n} exceeds the enumeration bound {max_n}")
     subsets = [c for c in combinations(range(1, n + 1), k)]
 
     def successors(prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 EPSILON = ("e",)
@@ -239,21 +240,24 @@ class Polynomial:
         """Clear content and make the leading coefficient positive."""
         if not self.terms:
             return self
-        coeffs = list(self.terms.values())
-        from math import gcd
-        num = 0
-        den = 1
-        for c in coeffs:
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
-        lead = self.sorted_terms()[0][1]
-        if lead < 0:
-            content = -content
-        return self.scale(1 / content)
+        c = content(self.terms.values())
+        if self.terms[max(self.terms, key=_grlex_sort_key)] < 0:
+            c = -c
+        return self.scale(1 / c)
 
     def __repr__(self):
         return f"Polynomial({poly_to_text(self)!r})"
+
+
+def content(coeffs: Iterable[Fraction]) -> Fraction:
+    """The positive rational whose quotients with `coeffs` are coprime
+    integers: gcd of the numerators over lcm of the denominators."""
+    num = 0
+    den = 1
+    for c in coeffs:
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
+    return Fraction(num, den)
 
 
 def _grlex_sort_key(m: Monomial):

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from positroid import k1basis
+from positroid import groebner, k1basis
 from positroid.cli import main
 from positroid.fibers import torus_fixed_point
 from positroid.patterns import AnchorSet
@@ -183,12 +183,25 @@ class TestInvalidInput:
         ("flatness", "1", "9", "--all"),
         ("flatness", "0", "3", "--all"),
         ("flatness", "1", "3", "--all", "--max-degree", "-1"),
+        ("hilbert", "1,1,2", "--multidegree", "20,20,20"),
+        ("basis", "--pattern", "1,1,2", "--multidegree", "20,20,20"),
     ])
     def test_usage_error_without_traceback(self, args, tmp_path):
         path = tmp_path / "point.json"
         path.write_text(json.dumps(
             torus_fixed_point(AnchorSet(3, (0,)), 1).to_json()))
         res = run(*(str(path) if a == "POINT" else a for a in args))
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "Error: " in res.output
+        # No message may advise a parameter the verb lacks (`flatness` has
+        # no --max-n).
+        assert "max_n" not in res.output
+
+    def test_groebner_cap_hit_is_usage_error(self, monkeypatch):
+        monkeypatch.setattr(groebner, "MAX_TERMS", 1)
+        res = run("dim", "1,1,1")
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output

@@ -1,14 +1,18 @@
 """Tests for Buchberger, normal forms, and Krull dimension."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from positroid import groebner
 from positroid.groebner import (
     Ideal,
     ResourceCapExceeded,
-    ResourceCaps,
     buchberger,
     plucker_universe,
 )
@@ -70,48 +74,43 @@ class TestBuchberger:
                                          vars_).polynomials]
         assert a == b
 
-    def test_grevlex_order_differs(self):
-        vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
-        gens = classical_plucker_generators(2, 4, 0)
-        gb = buchberger(gens, vars_, order="grevlex")
-        nf = gb.normal_form(D(0, 1, 4) * D(0, 2, 3))
-        # Under grevlex the last-variable-heavy product is the reducible one.
-        assert nf == D(0, 1, 3) * D(0, 2, 4) - D(0, 1, 2) * D(0, 3, 4)
-
-    def test_unknown_order_rejected(self):
-        vars_ = _simple_vars(2)
-        with pytest.raises(ValueError):
-            buchberger([], vars_, order="lex-of-doom")
-
 
 class TestResourceCaps:
-    def test_term_cap_triggers(self):
+    def test_term_cap_triggers(self, monkeypatch):
         x, y = _simple_vars(2)
-        caps = ResourceCaps(max_terms=1)
+        monkeypatch.setattr(groebner, "MAX_TERMS", 1)
         with pytest.raises(ResourceCapExceeded):
             buchberger([Polynomial.variable(x) + Polynomial.variable(y)],
-                       _simple_vars(2), caps=caps)
+                       _simple_vars(2))
 
-    def test_term_cap_bounds_normal_forms(self):
+    def test_term_cap_bounds_normal_forms(self, monkeypatch):
         # Modulo x - y - z, x^2 reduces to (y + z)^2, three terms, and x^3
         # to (y + z)^3, four.
         x, y, z = (Polynomial.variable(v) for v in _simple_vars(3))
-        gb = buchberger([x - y - z], _simple_vars(3),
-                        caps=ResourceCaps(max_terms=3))
+        monkeypatch.setattr(groebner, "MAX_TERMS", 3)
+        gb = buchberger([x - y - z], _simple_vars(3))
         assert gb.normal_form(x * x) == y * y + (y * z).scale(2) + z * z
         with pytest.raises(ResourceCapExceeded):
             gb.normal_form(x * x * x)
 
-    def test_degree_cap_triggers(self):
+    def test_degree_cap_triggers(self, monkeypatch):
         vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
         gens = classical_plucker_generators(2, 4, 0)
+        monkeypatch.setattr(groebner, "MAX_TOTAL_DEGREE", 1)
         with pytest.raises(ResourceCapExceeded):
-            buchberger(gens, vars_, caps=ResourceCaps(max_total_degree=1))
+            buchberger(gens, vars_)
 
-    def test_env_var_controls_default_term_cap(self, monkeypatch):
-        monkeypatch.setenv("POSITROID_MAX_TERMS", "2")
-        caps = ResourceCaps.from_env()
-        assert caps.max_terms == 2
+    def test_env_var_controls_default_term_cap(self):
+        # The limit is read once, at import, so a fresh interpreter checks it.
+        src = Path(groebner.__file__).resolve().parent.parent
+        env = {**os.environ, "POSITROID_MAX_TERMS": "2",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from positroid import groebner; print(groebner.MAX_TERMS)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "2"
 
 
 class TestKrullDimension:

@@ -1,4 +1,5 @@
-"""Every import in the package modules and the tests is used.
+"""Every import in the package modules and the tests is used, and every
+binding the benchmark tracer wraps exists.
 
 No linter is a dependency of this project, so this walks the syntax tree of
 each module: a name bound by an import must be referenced somewhere else in
@@ -8,7 +9,10 @@ exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from positroid.groebner import GroebnerBasis
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in [*(ROOT / "src" / "positroid").glob("*.py"),
@@ -34,3 +38,31 @@ def test_no_unused_imports():
         unused.extend(f"{path.relative_to(ROOT)}: {name}"
                       for name in _imported_names(tree) if name not in used)
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _tracer_layers():
+    """`LAYERS` of bench/tracing.py, read from its syntax tree."""
+    path = ROOT / "bench" / "tracing.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no LAYERS")
+
+
+def test_tracer_bindings_resolve():
+    # The tracer looks each binding up as vars(owner)[attr]; a renamed or
+    # deleted one would otherwise only show as a KeyError in traced runs.
+    missing = []
+    for layer, bindings in _tracer_layers().items():
+        for module, path in bindings:
+            owner = importlib.import_module(f"positroid.{module}")
+            *outer, attr = path.split(".")
+            for name in outer:
+                owner = getattr(owner, name)
+            if attr not in vars(owner):
+                missing.append(f"{layer}: {module}.{path}")
+    assert not missing, "unresolved tracer bindings:\n" + "\n".join(missing)
+    # The tracer counts basis sizes with it.
+    assert callable(vars(GroebnerBasis)["leading_monomials"])

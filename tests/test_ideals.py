@@ -12,7 +12,6 @@ from positroid.ideals import (
     epsilon_relations,
     global_positroid_ideal,
     schubert_vanishing_generators,
-    specialize,
 )
 from positroid.patterns import JugglingPattern, KSubset, enumerate_patterns
 from positroid.poly import EPSILON, Polynomial, poly_to_text
@@ -171,7 +170,7 @@ class TestGlobalIdeal:
 
     def test_specialize_removes_epsilon(self):
         ideal = global_positroid_ideal(P(1, 2, (1,), (2,)))
-        sp = specialize(ideal, 2)
+        sp = ideal.specialize(2)
         assert not sp.has_epsilon
         assert all(EPSILON not in g.variables() for g in sp.generators)
 

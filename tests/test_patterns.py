@@ -14,9 +14,7 @@ from positroid.patterns import (
     first_violation,
     parse_pattern,
     pattern_from_anchor,
-    pattern_leq,
     rotate,
-    validate_pattern,
 )
 
 
@@ -81,7 +79,7 @@ class TestJugglingPattern:
         entries = (KSubset(3, (3,)), KSubset(3, (1,)), KSubset(3, (1,)))
         assert first_violation(entries) == (0, 3)
         with pytest.raises(PatternError, match=r"b=0, j=3"):
-            validate_pattern(1, 3, entries)
+            JugglingPattern(1, 3, tuple(entries))
 
     def test_valid_patterns_have_no_violation(self):
         assert first_violation(P(1, 3, (2,), (1,), (3,)).entries) is None
@@ -204,4 +202,4 @@ class TestComponents:
     def test_components_satisfy_leq(self):
         for J in enumerate_patterns(2, 4):
             for S in components_of_special_fiber(J):
-                assert pattern_leq(J, pattern_from_anchor(S))
+                assert J.leq(pattern_from_anchor(S))
