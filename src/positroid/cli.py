@@ -20,7 +20,7 @@ from .ideals import global_positroid_ideal
 from .patterns import (JugglingPattern, PatternError, components_of_special_fiber,
                        enumerate_patterns, parse_pattern)
 from .poly import poly_to_json, poly_to_text
-from .reports import VerificationReport
+from .reports import SCHEMA, VerificationReport
 
 DEFAULT_EPSILONS = "0,1,2,-1"
 
@@ -71,14 +71,18 @@ def _multidegrees_up_to(n: int, bound: int):
         yield from compositions(total, n)
 
 
-def _emit(report: VerificationReport, as_json: bool, out, timings: bool):
-    report.include_timings = timings
-    text = report.to_json() if as_json else report.to_text()
+def _write(text: str, out) -> None:
+    """Write `text` to the file `out`, or echo it when `out` is None."""
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         click.echo(text)
+
+
+def _emit(report: VerificationReport, as_json: bool, out, timings: bool):
+    report.include_timings = timings
+    _write(report.to_json() if as_json else report.to_text(), out)
     sys.exit(0 if report.passed else 1)
 
 
@@ -132,7 +136,7 @@ def cmd_ideal(pattern, epsilon, as_json, out):
         ideal = ideal.specialize(_parse_fraction(epsilon))
     if as_json:
         payload = {
-            "schema": "positroid-report/1",
+            "schema": SCHEMA,
             "task": "ideal",
             "parameters": {"pattern": str(J), "k": J.k, "n": J.n,
                            "epsilon": epsilon},
@@ -141,11 +145,7 @@ def cmd_ideal(pattern, epsilon, as_json, out):
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
         text = "\n".join(poly_to_text(g) for g in ideal.generators)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    _write(text, out)
 
 
 @main.command("hilbert")

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 from .patterns import (AnchorSet, JugglingPattern, KSubset,
                        pattern_from_anchor, rotate)
-from .poly import Var
+from .poly import EPSILON, Var
 
 
 class FiberError(ValueError):
@@ -127,7 +127,6 @@ def plucker_vector(U: Subspace) -> dict[KSubset, Fraction]:
 def plucker_assignment(point: FiberPoint) -> dict[Var, Fraction]:
     """Variable assignment (including epsilon) for evaluating ideal
     generators on a fiber point."""
-    from .poly import EPSILON
     out: dict[Var, Fraction] = {EPSILON: point.epsilon}
     for a, U in enumerate(point.spaces):
         for I, val in plucker_vector(U).items():

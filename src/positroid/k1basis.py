@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 
+from . import hilbert, ideals, linalg
 from .fibers import FiberPoint, k1_point
 from .patterns import JugglingPattern
 
@@ -194,17 +195,14 @@ def verify_basis(J: JugglingPattern, m: tuple[int, ...],
     """Check the basis property in multidegree m: the admissible count
     matches the graded component dimension at every epsilon, and the
     evaluation matrix on sampled points at eps=1 has full rank."""
-    from . import linalg
-    from .hilbert import graded_component_dim
-    from .ideals import global_positroid_ideal
-
     mons = enumerate_admissible(J, m)
     count = len(mons)
     binomial = expected_count(J, m)
-    ideal = global_positroid_ideal(J)
+    ideal = ideals.global_positroid_ideal(J)
     dims = {}
     for eps in epsilons:
-        dims[Fraction(eps)] = graded_component_dim(ideal.specialize(eps), m)
+        dims[Fraction(eps)] = hilbert.graded_component_dim(
+            ideal.specialize(eps), m)
 
     rank = 0
     samples = count + 3

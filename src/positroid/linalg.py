@@ -1,82 +1,75 @@
-"""Exact linear algebra over the rationals: rank, determinant, row reduction.
+"""Exact linear algebra over the rationals: rank and determinant.
 
-Matrices are lists of rows; entries are ints or Fractions. Rank uses
-fraction-free (Bareiss-style) elimination on integer rows for speed.
+Matrices are lists of rows; entries are ints or Fractions. Both rest on one
+fraction-free row reduction, `_echelon`, on sparse integer rows that are
+divided by their content after every step. A kept row is then primitive
+and proportional to a vector of minors of the input (with its row
+denominators cleared), so no entry exceeds the Hadamard bound of the
+nonzero input rows, the product of their Euclidean norms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
+from .poly import sort_sign
 
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    out = []
+
+def _echelon(rows: Sequence[Sequence]
+             ) -> dict[int, tuple[dict[int, int], Fraction]]:
+    """Reduce the rows one at a time against the rows kept so far.
+
+    Returns the kept rows in input order, keyed by their pivot, the lowest
+    column of the row. A kept row is a sparse primitive integer row
+    {column: entry} together with its scale s: the row equals s times the
+    input row minus multiples of earlier input rows.
+    """
+    kept: dict[int, tuple[dict[int, int], Fraction]] = {}
     for row in rows:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) if isinstance(x, Fraction) else x * denom
-                    for x in row])
-    return out
+        d = lcm(*(x.denominator for x in row))
+        r = {c: x.numerator * (d // x.denominator)
+             for c, x in enumerate(row) if x}
+        s = Fraction(d)
+        while r:
+            g = gcd(*r.values())
+            if g != 1:
+                r = {c: x // g for c, x in r.items()}
+                s /= g
+            c = min(r)
+            if c not in kept:
+                kept[c] = (r, s)
+                break
+            p = kept[c][0]
+            g = gcd(p[c], r[c])
+            a, b = p[c] // g, r[c] // g
+            if a != 1:
+                for j in r:
+                    r[j] *= a
+                s *= a
+            for j, y in p.items():
+                x = r.get(j, 0) - b * y
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+    return kept
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank of a rational matrix."""
-    m = [r for r in _integer_rows(rows) if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        pval = prow[c]
-        for i in range(r + 1, len(m)):
-            v = m[i][c]
-            if v:
-                row = m[i]
-                g = gcd(pval, v)
-                a, b = pval // g, v // g
-                for j in range(c, ncols):
-                    row[j] = a * row[j] - b * prow[j]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return len(_echelon(rows))
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square rational matrix."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        pval = m[c][c]
-        out *= pval
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / pval
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return sign * out
+    kept = _echelon(rows)
+    if len(kept) < len(rows):
+        return Fraction(0)
+    # The kept rows have determinant det(rows) * prod(s); sorted by pivot
+    # they are triangular, with their leads on the diagonal.
+    out = Fraction(sort_sign(kept)[0])
+    for c, (r, s) in kept.items():
+        out *= r[c] / s
+    return out
