@@ -2,7 +2,9 @@
 dimension of leading ideals, and the Ideal container.
 
 Internally polynomials are dense exponent tuples over a fixed ordered
-variable universe; the public surface speaks `poly.Polynomial`.
+variable universe; the public surface speaks `poly.Polynomial`. The
+monomial order (`poly.grlex_key`), the primitive normalization of a basis
+element and the dedup of generators belong to `poly`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .patterns import all_subsets
-from .poly import EPSILON, Monomial, Polynomial, Var, content, var_sort_key
+from .poly import (EPSILON, Monomial, Polynomial, Var, dedup, grlex_key,
+                   primitive_terms, var_sort_key)
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -27,15 +30,6 @@ MAX_TERMS = int(os.environ.get("POSITROID_MAX_TERMS", "200000"))
 MAX_BASIS_SIZE = 20000
 MAX_TOTAL_DEGREE = 80
 MAX_COMPONENT_MONOMIALS = 200000
-
-
-def _grlex_key(nplucker: int, has_eps: bool):
-    """The grlex key on dense exponent tuples (Pluecker variables first,
-    epsilon last when present). Larger key = larger monomial."""
-    def key(e):
-        pv = e[:nplucker]
-        return (sum(pv), pv, e[nplucker] if has_eps else 0)
-    return key
 
 
 def _to_dense(p: Polynomial, index: dict[Var, int], nvars: int):
@@ -157,29 +151,16 @@ class GroebnerBasis:
         return nvars - best[0]
 
 
-def _normalize_dense(g: dict, key) -> dict:
-    """Make primitive with positive leading coefficient."""
-    c = content(g.values())
-    if g[max(g, key=key)] < 0:
-        c = -c
-    return {e: v / c for e, v in g.items()}
-
-
 def buchberger(generators: list[Polynomial],
                variables: tuple[Var, ...]) -> GroebnerBasis:
     """Compute the reduced grlex Groebner basis of the ideal generated by
     `generators` in the given ordered variable universe."""
-    has_eps = EPSILON in variables
-    nplucker = len(variables) - (1 if has_eps else 0)
-    key = _grlex_key(nplucker, has_eps)
+    key = grlex_key(len(variables) - (EPSILON in variables))
     index = {v: i for i, v in enumerate(variables)}
     nvars = len(variables)
 
     basis: list[dict] = []
-    leads: list[tuple] = []
-    for p in generators:
-        if p.is_zero():
-            continue
+    for p in dedup(generators):
         missing = [v for v in p.variables() if v not in index]
         if missing:
             raise ValueError(f"variables outside the universe: {missing}")
@@ -190,10 +171,8 @@ def buchberger(generators: list[Polynomial],
         if deg > MAX_TOTAL_DEGREE:
             raise ResourceCapExceeded(
                 f"generator degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
-        d = _normalize_dense(_to_dense(p, index, nvars), key)
-        if d not in basis:
-            basis.append(d)
-            leads.append(max(d, key=key))
+        basis.append(_to_dense(p, index, nvars))
+    leads = [max(g, key=key) for g in basis]
 
     # S-pair queue ordered by lcm (normal selection strategy)
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
@@ -240,13 +219,12 @@ def buchberger(generators: list[Polynomial],
         r = _reduce(s, basis, leads, key)
         if not r:
             continue
-        if sum(max(r, key=key)) > MAX_TOTAL_DEGREE:
+        lr = max(r, key=key)
+        if sum(lr) > MAX_TOTAL_DEGREE:
             raise ResourceCapExceeded(
-                f"degree {sum(max(r, key=key))} exceeds cap "
-                f"{MAX_TOTAL_DEGREE}")
-        r = _normalize_dense(r, key)
-        basis.append(r)
-        leads.append(max(r, key=key))
+                f"degree {sum(lr)} exceeds cap {MAX_TOTAL_DEGREE}")
+        basis.append(primitive_terms(r, lr))
+        leads.append(lr)
         if len(basis) > MAX_BASIS_SIZE:
             raise ResourceCapExceeded(
                 f"basis size exceeds cap {MAX_BASIS_SIZE}")
@@ -269,12 +247,6 @@ def buchberger(generators: list[Polynomial],
         final.append({e: v / c for e, v in r.items()})
     final.sort(key=lambda g: key(max(g, key=key)))
     return GroebnerBasis(variables, final, key)
-
-
-def _dedup(polys) -> list[Polynomial]:
-    """The nonzero polynomials of `polys` made primitive, first occurrence
-    of each kept: a repeat up to a rational factor is dropped."""
-    return list(dict.fromkeys(p.primitive() for p in polys if p))
 
 
 def plucker_universe(k: int, n: int, colors: list[int] | None = None,
@@ -314,5 +286,5 @@ class Ideal:
     def specialize(self, value) -> "Ideal":
         """Substitute epsilon by a rational constant, dropping generators
         that vanish or repeat."""
-        gens = _dedup(g.substitute_epsilon(value) for g in self.generators)
+        gens = dedup(g.substitute_epsilon(value) for g in self.generators)
         return Ideal(self.k, self.n, tuple(gens), has_epsilon=False)

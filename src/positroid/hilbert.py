@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from . import groebner, linalg
 from .patterns import all_subsets
-from .poly import Monomial, Polynomial
+from .poly import Monomial
 
 
 def monomials_of_multidegree(k: int, n: int,
@@ -64,11 +63,8 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
         if any(x < 0 for x in diff):
             continue
         for mu in monomials_of_multidegree(ideal.k, ideal.n, diff):
-            p = g * Polynomial({mu: Fraction(1)})
             row = [0] * len(basis)
-            for mono, c in p.terms.items():
-                row[index[mono]] = c
+            for mono, c in g.terms.items():
+                row[index[mono * mu]] = c
             rows.append(row)
-    if not rows:
-        return len(basis)
     return len(basis) - linalg.rank(rows)

@@ -10,9 +10,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .groebner import Ideal, _dedup
+from .groebner import Ideal
 from .patterns import JugglingPattern, all_subsets
-from .poly import Polynomial
+from .poly import Polynomial, dedup
 
 
 def classical_plucker_generators(k: int, n: int, a: int) -> list[Polynomial]:
@@ -30,7 +30,7 @@ def classical_plucker_generators(k: int, n: int, a: int) -> list[Polynomial]:
                     g = g - (Polynomial.plucker(a, Iswap) *
                              Polynomial.plucker(a, Jswap))
                 gens.append(g)
-    return _dedup(gens)
+    return dedup(gens)
 
 
 def schubert_vanishing_generators(J: JugglingPattern) -> list[Polynomial]:
@@ -97,7 +97,7 @@ def epsilon_relations(k: int, n: int) -> list[Polynomial]:
             else:
                 g = lhs * Polynomial.epsilon(-d) - rhs
             gens.append(g)
-    return _dedup(gens)
+    return dedup(gens)
 
 
 @lru_cache(maxsize=None)
@@ -123,11 +123,11 @@ def global_positroid_ideal(J: JugglingPattern) -> Ideal:
     variable is dropped from the quadrics and the relations, which leaves
     the ideal unchanged with fewer terms.
     """
-    linear = _dedup(schubert_vanishing_generators(J) +
+    linear = dedup(schubert_vanishing_generators(J) +
                     shifted_schubert_vanishing_generators(J))
     zero = {v for g in linear for v in g.variables()}
     quadrics, relations = _pattern_free_generators(J.k, J.n)
     gens = [_drop_terms(g, zero) for g in quadrics]
     gens.extend(linear)
     gens.extend(_drop_terms(g, zero) for g in relations)
-    return Ideal(J.k, J.n, tuple(_dedup(gens)), has_epsilon=True)
+    return Ideal(J.k, J.n, tuple(dedup(gens)), has_epsilon=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 EPSILON = ("e",)
@@ -233,55 +233,61 @@ class Polynomial:
         return out
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(),
-                      key=lambda mc: _grlex_sort_key(mc[0]), reverse=True)
+        """The terms from the grlex-largest monomial down."""
+        return sorted(self.terms.items(), key=lambda mc: _grlex_rank(mc[0]))
 
     def primitive(self) -> "Polynomial":
         """Clear content and make the leading coefficient positive."""
         if not self.terms:
             return self
-        c = content(self.terms.values())
-        if self.terms[max(self.terms, key=_grlex_sort_key)] < 0:
-            c = -c
-        return self.scale(1 / c)
+        p = Polynomial.__new__(Polynomial)
+        p.terms = primitive_terms(self.terms,
+                                  min(self.terms, key=_grlex_rank))
+        return p
 
     def __repr__(self):
         return f"Polynomial({poly_to_text(self)!r})"
 
 
-def content(coeffs: Iterable[Fraction]) -> Fraction:
-    """The positive rational whose quotients with `coeffs` are coprime
-    integers: gcd of the numerators over lcm of the denominators."""
-    num = 0
-    den = 1
-    for c in coeffs:
+def grlex_key(nplucker: int):
+    """The grlex key on dense exponent tuples over a variable universe that
+    lists the Pluecker variables in `var_sort_key` order, then epsilon if
+    present: degree in the Pluecker variables, then their exponents
+    lexicographically (more of an earlier variable is larger), then the
+    epsilon exponent. Larger key = larger monomial."""
+    def key(e):
+        pv = e[:nplucker]
+        return (sum(pv), pv, e[nplucker:])
+    return key
+
+
+def _grlex_rank(m: Monomial):
+    # `grlex_key` on a sparse monomial, reversed: the smallest rank is the
+    # largest monomial. With equal degrees, the list of Pluecker variables
+    # repeated by exponent in `var_sort_key` order is smaller exactly when
+    # the exponent vector is lexicographically larger.
+    seq = tuple(var_sort_key(v) for v, e in m.exps if v != EPSILON
+                for _ in range(e))
+    return (-len(seq), seq, -m.epsilon_exponent())
+
+
+def primitive_terms(terms: dict, lead) -> dict:
+    """`terms` divided by their content, signed so that the coefficient of
+    `lead` is positive. The content is the positive rational whose
+    quotients with the coefficients are coprime integers: the gcd of the
+    numerators over the lcm of the denominators."""
+    num, den = 0, 1
+    for c in terms.values():
         num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den)
+        den = lcm(den, c.denominator)
+    c = Fraction(num if terms[lead] > 0 else -num, den)
+    return {m: v / c for m, v in terms.items()}
 
 
-def _grlex_sort_key(m: Monomial):
-    # Degree, then variable sequence (smaller var key = more significant).
-    pvars = tuple((var_sort_key(v), e) for v, e in m.exps if v != EPSILON)
-    pdeg = sum(e for _, e in pvars)
-    # Lex on the sparse exponent sequence: higher exponent on an earlier
-    # variable wins; encode as tuple of (negated key, exp) pairs.
-    flat = []
-    for key, e in pvars:
-        flat.append((_neg_key(key), e))
-    return (pdeg, tuple(flat), m.epsilon_exponent())
-
-
-def _neg_key(key):
-    # Invert ordering of var keys so that lexicographically earlier variables
-    # compare as larger within sorted_terms.
-    out = []
-    for x in key:
-        if isinstance(x, int):
-            out.append(-x)
-        else:
-            out.append(tuple(-y for y in x))
-    return tuple(out)
+def dedup(polys: Iterable[Polynomial]) -> list[Polynomial]:
+    """The nonzero polynomials of `polys` made primitive, first occurrence
+    of each kept: a repeat up to a rational factor is dropped."""
+    return list(dict.fromkeys(p.primitive() for p in polys if p))
 
 
 # -- plain-text and JSON polynomial formats ---------------------------------
