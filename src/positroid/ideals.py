@@ -78,20 +78,29 @@ def _drop_terms(p: Polynomial, zero: set) -> Polynomial:
 
 def epsilon_relations(k: int, n: int) -> list[Polynomial]:
     """The shift relations: for colors a, shifts c and subsets I, J,
-    Delta^(a)_I Delta^(a+c)_J = eps^(d_c(J+c)-d_c(I)) Delta^(a)_(J+c)
-    Delta^(a+c)_(I-c), with the epsilon power moved to whichever side keeps
-    it nonnegative."""
+    Delta^(a)_I Delta^(a+c)_J = (-1)^(d1(k-d1)+d2(k-d2)) eps^(d1-d2)
+    Delta^(a)_(J+c) Delta^(a+c)_(I-c), where d1 = d_c(J+c) and d2 = d_c(I),
+    with the epsilon power moved to whichever side keeps it nonnegative.
+
+    The sign is that of the fiber model of `fibers` (quiver map
+    w_1 -> eps*w_n): the shift by c moves the d wrapped rows of a k x k
+    minor past the other k - d, a permutation of sign (-1)^(d(k-d)). It is
+    1 for odd k.
+    """
     subsets = all_subsets(k, n)
     gens = []
     for a, c in product(range(n), range(n)):
         for I, J in product(subsets, subsets):
             Jp = J.unshift(c)
             Im = I.shift(c)
-            d = Jp.d_shift(c) - I.d_shift(c)
+            d1, d2 = Jp.d_shift(c), I.d_shift(c)
+            d = d1 - d2
             lhs = (Polynomial.plucker(a, I.elements) *
                    Polynomial.plucker((a + c) % n, J.elements))
             rhs = (Polynomial.plucker(a, Jp.elements) *
                    Polynomial.plucker((a + c) % n, Im.elements))
+            if (d1 * (k - d1) + d2 * (k - d2)) % 2:
+                rhs = -rhs
             if d >= 0:
                 g = lhs - rhs * Polynomial.epsilon(d) if d else lhs - rhs
             else:

@@ -49,11 +49,8 @@ class KSubset:
         return KSubset(self.n, tuple(sorted(out)))
 
     def unshift(self, c: int) -> "KSubset":
-        """The subset I + c, defined as the inverse of the -c shift."""
-        cb = c % self.n
-        out = [i + cb if i + cb <= self.n else i + cb - self.n
-               for i in self.elements]
-        return KSubset(self.n, tuple(sorted(out)))
+        """The subset I + c, the inverse of the -c shift."""
+        return self.shift(-c)
 
     def d_shift(self, c: int) -> int:
         """The count d_c(I) of elements wrapped by the -c shift."""

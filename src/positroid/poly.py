@@ -4,6 +4,11 @@ Variables are plain tuples: EPSILON = ("e",) and ("D", a, I) for the
 Pluecker coordinate of color a in Z_n and sorted k-subset I. Unsorted index
 tuples are absorbed into coefficients via the sign of the sorting
 permutation; repeated indices give the zero polynomial.
+
+This module owns the monomial order, grlex (`grlex_key` on dense exponent
+tuples, used by `groebner`, and its sparse form on `Monomial`), and the
+normal form of a generator: primitive with a positive leading coefficient
+(`primitive_terms`), deduplicated by `dedup`.
 """
 
 from __future__ import annotations

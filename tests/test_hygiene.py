@@ -1,5 +1,6 @@
-"""Every import in the package modules and the tests is used, and every
-binding the benchmark tracer wraps exists.
+"""Every import in the package modules and the tests is used, no package
+module imports another's private name, and every binding the benchmark
+tracer wraps exists.
 
 No linter is a dependency of this project, so this walks the syntax tree of
 each module: a name bound by an import must be referenced somewhere else in
@@ -38,6 +39,20 @@ def test_no_unused_imports():
         unused.extend(f"{path.relative_to(ROOT)}: {name}"
                       for name in _imported_names(tree) if name not in used)
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_private_names_imported_between_modules():
+    # A name that another module needs is public in the module that owns it.
+    private = []
+    for path in sorted((ROOT / "src" / "positroid").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("positroid")):
+                private.extend(f"{path.name}: {alias.name}"
+                               for alias in node.names
+                               if alias.name.startswith("_"))
+    assert not private, "private imports:\n" + "\n".join(private)
 
 
 def _tracer_layers():

@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from positroid.groebner import plucker_universe
 from positroid.poly import (
     EPSILON,
     Monomial,
     Polynomial,
+    grlex_key,
     parse_polynomial,
     parse_polynomials,
     plucker_var,
@@ -120,6 +122,42 @@ class TestEpsilonAndEvaluation:
         prim = p.primitive()
         coeffs = sorted(prim.terms.values())
         assert coeffs == [Fraction(-1), Fraction(1)]
+
+
+class TestMonomialOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1, 3), (2, 4), (2, 5)]), st.data())
+    def test_sorted_terms_descend_under_dense_grlex(self, kn, data):
+        # The sparse order of sorted_terms and primitive is the dense key of
+        # the Groebner engine, read over the same variable universe.
+        universe = plucker_universe(*kn, with_epsilon=True)
+        key = grlex_key(len(universe) - 1)
+        index = {v: i for i, v in enumerate(universe)}
+        # Few Pluecker parts, each with several epsilon exponents, so that
+        # both the degree-lex part and the epsilon tie-break decide.
+        pluecker = st.lists(st.sampled_from([0, 0, 0, 1, 2]),
+                            min_size=len(universe) - 1,
+                            max_size=len(universe) - 1)
+        parts = data.draw(st.lists(pluecker, min_size=1, max_size=3))
+        terms = {}
+        for _ in range(data.draw(st.integers(1, 6))):
+            e = [*data.draw(st.sampled_from(parts)),
+                 data.draw(st.integers(0, 2))]
+            c = Fraction(data.draw(st.integers(-9, 9).filter(bool)),
+                         data.draw(st.integers(1, 9)))
+            terms[Monomial((universe[i], x) for i, x in enumerate(e))] = c
+        p = Polynomial(terms)
+
+        def dense(m):
+            e = [0] * len(universe)
+            for v, x in m.exps:
+                e[index[v]] = x
+            return key(tuple(e))
+
+        keys = [dense(m) for m, _ in p.sorted_terms()]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        q = p.primitive()
+        assert q.terms[max(q.terms, key=dense)] > 0
 
 
 class TestTextFormat:
