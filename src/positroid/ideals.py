@@ -83,9 +83,9 @@ def epsilon_relations(k: int, n: int) -> list[Polynomial]:
     with the epsilon power moved to whichever side keeps it nonnegative.
 
     The sign is that of the fiber model of `fibers` (quiver map
-    w_1 -> eps*w_n): the shift by c moves the d wrapped rows of a k x k
-    minor past the other k - d, a permutation of sign (-1)^(d(k-d)). It is
-    1 for odd k.
+    w_1 -> eps*w_n): the shift by c moves the d wrapped elements of a
+    k-subset past the other k - d in sorted order, a permutation of sign
+    (-1)^(d(k-d)). It is 1 for odd k.
     """
     subsets = all_subsets(k, n)
     gens = []
@@ -133,7 +133,7 @@ def global_positroid_ideal(J: JugglingPattern) -> Ideal:
     the ideal unchanged with fewer terms.
     """
     linear = dedup(schubert_vanishing_generators(J) +
-                    shifted_schubert_vanishing_generators(J))
+                   shifted_schubert_vanishing_generators(J))
     zero = {v for g in linear for v in g.variables()}
     quadrics, relations = _pattern_free_generators(J.k, J.n)
     gens = [_drop_terms(g, zero) for g in quadrics]

@@ -257,12 +257,12 @@ class Polynomial:
 def grlex_key(nplucker: int):
     """The grlex key on dense exponent tuples over a variable universe that
     lists the Pluecker variables in `var_sort_key` order, then epsilon if
-    present: degree in the Pluecker variables, then their exponents
-    lexicographically (more of an earlier variable is larger), then the
-    epsilon exponent. Larger key = larger monomial."""
+    present: degree in the Pluecker variables, then the exponents
+    lexicographically (more of an earlier variable is larger), so that the
+    epsilon exponent decides only between equal Pluecker parts. Larger key
+    = larger monomial."""
     def key(e):
-        pv = e[:nplucker]
-        return (sum(pv), pv, e[nplucker:])
+        return (sum(e[:nplucker]), e)
     return key
 
 
