@@ -5,10 +5,22 @@ Internally polynomials are dense exponent tuples over a fixed ordered
 variable universe; the public surface speaks `poly.Polynomial`. The
 monomial order (`poly.grlex_key`), the primitive normalization of a basis
 element and the dedup of generators belong to `poly`.
+
+`buchberger` uses the normal selection strategy: the pending S-pairs sit
+in a heap keyed by the order of their lcm, and the smallest is reduced
+first. A pair is dropped unreduced by Buchberger's product criterion
+(coprime leading monomials) or chain criterion (a third leading monomial
+divides the lcm and both of its pairs are done). Each leading monomial
+carries the bitmask of its support, and every divisibility test against
+a leading monomial (the chain criterion, the reducer search of a division
+and the final interreduction) compares masks before exponents (Bachmann
+and Schoenemann, "Monomial representations for Groebner bases
+computations", ISSAC 1998).
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,6 +65,13 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _mask(e) -> int:
+    # The support of an exponent tuple as a bitmask: a divides b only if
+    # _mask(a) & ~_mask(b) == 0, one integer operation that rejects most
+    # non-divisors before `_divides` compares the exponents.
+    return sum(1 << i for i, x in enumerate(e) if x)
+
+
 def _lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -65,18 +84,21 @@ def _add_exp(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _reduce(f: dict, basis: list[dict], leads: list[tuple], key) -> dict:
+def _reduce(f: dict, basis: list[dict], leads: list[tuple],
+            masks: list[int], key) -> dict:
     """The remainder of f under the division algorithm by `basis`, where
-    leads[i] is the leading exponent of basis[i]: no term of the result is
-    divisible by any leading exponent. The first basis element whose lead
-    divides the current leading term is used. Raises ResourceCapExceeded
-    when the working polynomial exceeds MAX_TERMS terms."""
+    leads[i] is the leading exponent of basis[i] and masks[i] its support
+    mask: no term of the result is divisible by any leading exponent. The
+    first basis element whose lead divides the current leading term is
+    used. Raises ResourceCapExceeded when the working polynomial exceeds
+    MAX_TERMS terms."""
     f = dict(f)
     remainder: dict = {}
     while f:
         lead = max(f, key=key)
-        for g, lg in zip(basis, leads):
-            if _divides(lg, lead):
+        outside = ~_mask(lead)
+        for g, lg, mg in zip(basis, leads, masks):
+            if not mg & outside and _divides(lg, lead):
                 break
         else:
             remainder[lead] = f.pop(lead)
@@ -106,6 +128,7 @@ class GroebnerBasis:
         self._key = key
         self._basis = dense_basis
         self._leads = [max(g, key=key) for g in dense_basis]
+        self._masks = [_mask(e) for e in self._leads]
 
     @property
     def polynomials(self) -> list[Polynomial]:
@@ -122,7 +145,8 @@ class GroebnerBasis:
             raise ValueError(f"variables outside the universe: {missing}")
         dense = _to_dense(p, self._index, len(self.variables))
         return _to_polynomial(_reduce(dense, self._basis, self._leads,
-                                      self._key), self.variables)
+                                      self._masks, self._key),
+                              self.variables)
 
     def krull_dimension(self) -> int:
         """Dimension of the quotient: maximum number of variables whose
@@ -173,26 +197,37 @@ def buchberger(generators: list[Polynomial],
                 f"generator degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
         basis.append(_to_dense(p, index, nvars))
     leads = [max(g, key=key) for g in basis]
+    masks = [_mask(e) for e in leads]
 
-    # S-pair queue ordered by lcm (normal selection strategy)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    # Normal selection: the pending S-pairs (i, j), i > j, sit in a heap
+    # by the key of their lcm, ties broken on (i, j); `pairs` holds the
+    # same pairs for the chain criterion's membership test.
+    pairs: set[tuple[int, int]] = set()
+    queue: list = []
 
-    def coprime(a, b):
-        return all(x == 0 or y == 0 for x, y in zip(a, b))
+    def push_pairs(i):
+        for j in range(i):
+            pairs.add((i, j))
+            heapq.heappush(queue, (key(_lcm(leads[i], leads[j])), i, j))
 
-    while pairs:
-        i, j = min(pairs, key=lambda ij: key(_lcm(leads[ij[0]],
-                                                  leads[ij[1]])))
+    for i in range(len(basis)):
+        push_pairs(i)
+
+    while queue:
+        _, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
-        li, lj = leads[i], leads[j]
-        if coprime(li, lj):
+        # product criterion: coprime leads give an S-polynomial that
+        # reduces to zero
+        if not masks[i] & masks[j]:
             continue
+        li, lj = leads[i], leads[j]
         l = _lcm(li, lj)
         # chain criterion: an intermediate basis element dividing the lcm
         # with both its pairs handled lets us skip this pair
+        outside = ~_mask(l)
         skip = False
         for t in range(len(basis)):
-            if t in (i, j):
+            if t in (i, j) or masks[t] & outside:
                 continue
             if _divides(leads[t], l):
                 p1 = (max(i, t), min(i, t))
@@ -216,7 +251,7 @@ def buchberger(generators: list[Polynomial],
                 s[t] = v
             else:
                 s.pop(t, None)
-        r = _reduce(s, basis, leads, key)
+        r = _reduce(s, basis, leads, masks, key)
         if not r:
             continue
         lr = max(r, key=key)
@@ -225,24 +260,26 @@ def buchberger(generators: list[Polynomial],
                 f"degree {sum(lr)} exceeds cap {MAX_TOTAL_DEGREE}")
         basis.append(primitive_terms(r, lr))
         leads.append(lr)
+        masks.append(_mask(lr))
         if len(basis) > MAX_BASIS_SIZE:
             raise ResourceCapExceeded(
                 f"basis size exceeds cap {MAX_BASIS_SIZE}")
-        new = len(basis) - 1
-        for t in range(new):
-            pairs.add((new, t))
+        push_pairs(len(basis) - 1)
 
     # interreduce to the unique reduced basis
     keep = []
     for i, lg in enumerate(leads):
-        if not any(j != i and _divides(leads[j], lg) and
-                   (leads[j] != lg or j < i) for j in range(len(leads))):
+        outside = ~masks[i]
+        if not any(j != i and not masks[j] & outside and
+                   _divides(leads[j], lg) and (leads[j] != lg or j < i)
+                   for j in range(len(leads))):
             keep.append(i)
     final = []
     for i in keep:
         others = [t for t in keep if t != i]
         r = _reduce(basis[i], [basis[t] for t in others],
-                    [leads[t] for t in others], key)
+                    [leads[t] for t in others], [masks[t] for t in others],
+                    key)
         c = r[leads[i]]
         final.append({e: v / c for e, v in r.items()})
     final.sort(key=lambda g: key(max(g, key=key)))

@@ -16,7 +16,9 @@ from positroid.groebner import (
     buchberger,
     plucker_universe,
 )
-from positroid.ideals import classical_plucker_generators
+from positroid.ideals import (classical_plucker_generators,
+                              global_positroid_ideal)
+from positroid.patterns import parse_pattern
 from positroid.poly import EPSILON, Monomial, Polynomial, plucker_var
 
 
@@ -224,3 +226,39 @@ class TestDivisionProperties:
                             for m, c in p.terms())
                   for p in reference.polys}
         assert ours == theirs
+
+
+# -- bases of specialized global positroid ideals ---------------------------
+
+class TestPositroidBases:
+    """Bases large enough that the S-pair queue order and the support-mask
+    prefilter matter: 71 to 140 elements in 24 or 25 variables."""
+
+    @pytest.mark.parametrize("pattern, eps, dim", [
+        ("12|12|12|12", 0, 8),
+        ("13|12|13|12", 0, 6),
+        ("1,1,1,1,1", 1, 9),
+    ])
+    def test_krull_dimension_of_hard_basis(self, pattern, eps, dim):
+        ideal = global_positroid_ideal(parse_pattern(pattern)).specialize(eps)
+        assert ideal.groebner().krull_dimension() == dim
+
+    def test_basis_certificate(self):
+        ideal = global_positroid_ideal(
+            parse_pattern("13|12|13|12")).specialize(0)
+        gb = ideal.groebner()
+        basis, leads = gb.polynomials, gb.leading_monomials()
+        assert (len(basis), len(gb.variables)) == (71, 24)
+        for i in range(len(basis)):
+            for j in range(i):
+                s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
+                assert gb.normal_form(s).is_zero()
+        for g in ideal.generators:
+            assert gb.normal_form(g).is_zero()
+        # reduced: monic leads, none dividing another
+        assert all(p.terms[m] == 1 for p, m in zip(basis, leads))
+        for i, a in enumerate(leads):
+            for j, b in enumerate(leads):
+                exps = dict(b.exps)
+                assert i == j or not all(e <= exps.get(v, 0)
+                                         for v, e in a.exps)
