@@ -201,14 +201,17 @@ def buchberger(generators: list[Polynomial],
 
     # Normal selection: the pending S-pairs (i, j), i > j, sit in a heap
     # by the key of their lcm, ties broken on (i, j); `pairs` holds the
-    # same pairs for the chain criterion's membership test.
+    # same pairs for the chain criterion's membership test. By the product
+    # criterion a pair with coprime leads has an S-polynomial that reduces
+    # to zero, so it is never queued and counts as handled from the start.
     pairs: set[tuple[int, int]] = set()
     queue: list = []
 
     def push_pairs(i):
         for j in range(i):
-            pairs.add((i, j))
-            heapq.heappush(queue, (key(_lcm(leads[i], leads[j])), i, j))
+            if masks[i] & masks[j]:
+                pairs.add((i, j))
+                heapq.heappush(queue, (key(_lcm(leads[i], leads[j])), i, j))
 
     for i in range(len(basis)):
         push_pairs(i)
@@ -216,10 +219,6 @@ def buchberger(generators: list[Polynomial],
     while queue:
         _, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
-        # product criterion: coprime leads give an S-polynomial that
-        # reduces to zero
-        if not masks[i] & masks[j]:
-            continue
         li, lj = leads[i], leads[j]
         l = _lcm(li, lj)
         # chain criterion: an intermediate basis element dividing the lcm
