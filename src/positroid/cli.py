@@ -13,11 +13,11 @@ from fractions import Fraction
 import click
 
 from . import k1basis
-from .fibers import FiberPoint, in_positroid_fiber
+from .fibers import FiberError, FiberPoint, in_positroid_fiber
 from .groebner import ResourceCapExceeded
 from .hilbert import graded_component_dim
 from .ideals import global_positroid_ideal
-from .patterns import (JugglingPattern, PatternError, components_of_special_fiber,
+from .patterns import (PatternError, components_of_special_fiber,
                        enumerate_patterns, parse_pattern)
 from .poly import poly_to_json, poly_to_text
 from .reports import SCHEMA, VerificationReport
@@ -50,13 +50,6 @@ def _parse_multidegree(text: str, n: int) -> tuple[int, ...]:
     return m
 
 
-def _pattern_arg(text: str) -> JugglingPattern:
-    try:
-        return parse_pattern(text)
-    except (PatternError, ValueError) as exc:
-        raise click.UsageError(f"bad pattern {text!r}: {exc}")
-
-
 def _multidegrees_up_to(n: int, bound: int):
     """All multidegrees with |m| <= bound in graded-lexicographic order."""
     def compositions(total, parts):
@@ -87,14 +80,15 @@ def _emit(report: VerificationReport, as_json: bool, out, timings: bool):
 
 
 class _Main(click.Group):
-    """The verb group. A resource limit hit by any verb is reported here as
-    a usage error: exit 2 and one `Error:` line, no traceback. `flatness`
-    records its cap hits as failed cases before they reach this point."""
+    """The verb group. A bad pattern or fiber point and a resource limit hit
+    by any verb are reported here as a usage error: exit 2 and one `Error:`
+    line, no traceback. `flatness` records its cap hits as failed cases
+    before they reach this point."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ResourceCapExceeded as exc:
+        except (FiberError, PatternError, ResourceCapExceeded) as exc:
             raise click.UsageError(str(exc)) from exc
 
 
@@ -113,10 +107,7 @@ def main():
 @click.option("--timings", is_flag=True)
 def cmd_patterns(k, n, max_n, as_json, out, timings):
     """Enumerate all (k, n) juggling patterns."""
-    try:
-        pats = enumerate_patterns(k, n, max_n=max_n)
-    except PatternError as exc:
-        raise click.UsageError(str(exc))
+    pats = enumerate_patterns(k, n, max_n=max_n)
     report = VerificationReport("patterns", {"k": k, "n": n})
     report.add_case("count", True, count=len(pats),
                     patterns=[str(p) for p in pats])
@@ -130,7 +121,7 @@ def cmd_patterns(k, n, max_n, as_json, out, timings):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_ideal(pattern, epsilon, as_json, out):
     """Print the generators of the global positroid ideal."""
-    J = _pattern_arg(pattern)
+    J = parse_pattern(pattern)
     ideal = global_positroid_ideal(J)
     if epsilon is not None:
         ideal = ideal.specialize(_parse_fraction(epsilon))
@@ -158,7 +149,7 @@ def cmd_ideal(pattern, epsilon, as_json, out):
 @click.option("--timings", is_flag=True)
 def cmd_hilbert(pattern, multidegree, epsilon_list, as_json, out, timings):
     """Graded component dimensions of the quotient at each epsilon."""
-    J = _pattern_arg(pattern)
+    J = parse_pattern(pattern)
     m = _parse_multidegree(multidegree, J.n)
     epsilons = _parse_epsilons(epsilon_list)
     ideal = global_positroid_ideal(J)
@@ -191,12 +182,9 @@ def cmd_flatness(k, n, pattern, sweep_all, max_degree, epsilon_list,
     admissible count for k=1)."""
     epsilons = _parse_epsilons(epsilon_list)
     if sweep_all:
-        try:
-            patterns = enumerate_patterns(k, n)
-        except PatternError as exc:
-            raise click.UsageError(str(exc))
+        patterns = enumerate_patterns(k, n)
     elif pattern:
-        patterns = [_pattern_arg(pattern)]
+        patterns = [parse_pattern(pattern)]
     else:
         raise click.UsageError("give a pattern or --all")
     report = VerificationReport(
@@ -234,7 +222,7 @@ def cmd_flatness(k, n, pattern, sweep_all, max_degree, epsilon_list,
 @click.option("--timings", is_flag=True)
 def cmd_components(pattern, as_json, out, timings):
     """Irreducible components of the special fiber, by anchor sets."""
-    J = _pattern_arg(pattern)
+    J = parse_pattern(pattern)
     comps = components_of_special_fiber(J)
     report = VerificationReport(
         "components", {"pattern": str(J), "k": J.k, "n": J.n})
@@ -251,7 +239,7 @@ def cmd_components(pattern, as_json, out, timings):
 @click.option("--timings", is_flag=True)
 def cmd_dimension(pattern, epsilon, as_json, out, timings):
     """Projective dimension of the fiber at epsilon (Krull minus n)."""
-    J = _pattern_arg(pattern)
+    J = parse_pattern(pattern)
     eps = _parse_fraction(epsilon)
     ideal = global_positroid_ideal(J).specialize(eps)
     krull = ideal.groebner().krull_dimension()
@@ -272,7 +260,7 @@ def cmd_dimension(pattern, epsilon, as_json, out, timings):
 @click.option("--timings", is_flag=True)
 def cmd_basis(pattern, multidegree, epsilon_list, as_json, out, timings):
     """Admissible monomials, counts, dimension table and basis check."""
-    J = _pattern_arg(pattern)
+    J = parse_pattern(pattern)
     if J.k != 1:
         raise click.UsageError("the basis machinery requires k = 1")
     m = _parse_multidegree(multidegree, J.n)
@@ -294,7 +282,7 @@ def cmd_basis(pattern, multidegree, epsilon_list, as_json, out, timings):
 
 @main.command("membership")
 @click.option("--point", "point_file", required=True,
-              type=click.Path(exists=True))
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--pattern", required=True)
 @click.option("--epsilon", default=None,
               help="Override the epsilon stored in the point file.")
@@ -303,11 +291,11 @@ def cmd_basis(pattern, multidegree, epsilon_list, as_json, out, timings):
 @click.option("--timings", is_flag=True)
 def cmd_membership(point_file, pattern, epsilon, as_json, out, timings):
     """Check a fiber point (JSON file) for positroid-fiber membership."""
-    J = _pattern_arg(pattern)
+    J = parse_pattern(pattern)
     try:
         with open(point_file) as fh:
             point = FiberPoint.from_json(json.load(fh))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"bad point file: {exc}")
     if epsilon is not None:
         point = FiberPoint(_parse_fraction(epsilon), point.spaces)

@@ -1,6 +1,13 @@
 """Exact linear-algebra model of the fibers: the cyclic quiver maps M(eps),
 subrepresentation and Schubert membership tests, torus fixed points, and the
-k=1 parametrized points."""
+k=1 parametrized points.
+
+A point of the fiber over eps is a subspace U_b of the n-space for each
+vertex b in Z_n with M(eps) U_b <= U_{b+1}. It lies on the fiber of J when
+each U_b is in the opposite Schubert variety of J_b, which one echelon form
+of U_b decides: its pivot columns are the componentwise-least I with
+Delta_I(U_b) != 0 (`in_opposite_schubert`). The Pluecker coordinates
+themselves (`plucker_vector`) serve only to evaluate ideal generators."""
 
 from __future__ import annotations
 
@@ -19,10 +26,6 @@ class FiberError(ValueError):
     pass
 
 
-def _frac_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A k-dimensional subspace of the n-space, spanned by the rows of an
@@ -32,9 +35,10 @@ class Subspace:
     basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _frac_rows(self.basis))
+        object.__setattr__(self, "basis", tuple(
+            tuple(Fraction(x) for x in row) for row in self.basis))
         if any(len(row) != self.n for row in self.basis):
-            raise FiberError("rows must have length n")
+            raise FiberError(f"rows must have length {self.n}")
         if linalg.rank(self.basis) != len(self.basis):
             raise FiberError("basis rows are not linearly independent")
 
@@ -54,17 +58,27 @@ class Subspace:
 
 @dataclass(frozen=True)
 class FiberPoint:
-    """A parameter value plus a tuple of subspaces, one per vertex."""
+    """A parameter value plus a point of Gr(k, n)^n: one k-dimensional
+    subspace of the n-space per vertex b in Z_n."""
 
     epsilon: Fraction
     spaces: tuple[Subspace, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        shapes = {(U.k, U.n) for U in self.spaces}
+        if len(shapes) != 1 or shapes.pop()[1] != self.n:
+            raise FiberError(
+                "a point needs n subspaces of one dimension k in the "
+                f"n-space, got (k, n) = {[(U.k, U.n) for U in self.spaces]}")
 
     @property
     def n(self) -> int:
         return len(self.spaces)
+
+    @property
+    def k(self) -> int:
+        return self.spaces[0].k
 
     def to_json(self) -> dict:
         eps = self.epsilon
@@ -76,32 +90,34 @@ class FiberPoint:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FiberPoint":
-        spaces = []
-        for rows in data["spaces"]:
-            rows = [tuple(Fraction(x) for x in row) for row in rows]
-            spaces.append(Subspace(len(rows[0]), tuple(rows)))
-        return cls(Fraction(data["epsilon"]), tuple(spaces))
+        """Read the `to_json` form; any other blob raises FiberError."""
+        try:
+            eps = Fraction(data["epsilon"])
+            spaces = [[[Fraction(x) for x in row] for row in rows]
+                      for rows in data["spaces"]]
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            raise FiberError(
+                f"not a point object ({type(exc).__name__}: {exc})") from exc
+        return cls(eps, tuple(Subspace(len(spaces), rows) for rows in spaces))
 
 
-def apply_quiver_map(vec: Sequence[Fraction], eps) -> list[Fraction]:
-    """M(eps): w_i -> w_{i-1} for i > 1, w_1 -> eps * w_n."""
+def apply_quiver_map(vec: Sequence[Fraction], eps, a: int = 1
+                     ) -> list[Fraction]:
+    """M(eps)^a, where M(eps): w_i -> w_{i-1} for i > 1, w_1 -> eps * w_n.
+
+    M(eps)^n = eps * identity, so for a = qn + r the image is eps^q times
+    the vector shifted down r places, its first r entries wrapped round to
+    the end with a factor eps."""
     eps = Fraction(eps)
-    n = len(vec)
-    out = [vec[i + 1] for i in range(n - 1)]
-    out.append(eps * vec[0])
-    return out
-
-
-def quiver_map_power(vec: Sequence[Fraction], eps, a: int) -> list[Fraction]:
-    out = list(vec)
-    for _ in range(a):
-        out = apply_quiver_map(out, eps)
-    return out
+    q, r = divmod(a, len(vec))
+    scale = eps ** q
+    return ([scale * x for x in vec[r:]]
+            + [scale * eps * x for x in vec[:r]])
 
 
 def map_subspace(U: Subspace, eps, a: int = 1) -> list[list[Fraction]]:
     """Row images under the a-fold quiver map; may be rank-deficient."""
-    return [quiver_map_power(row, eps, a) for row in U.basis]
+    return [apply_quiver_map(row, eps, a) for row in U.basis]
 
 
 def is_subrepresentation(point: FiberPoint) -> bool:
@@ -135,25 +151,29 @@ def plucker_assignment(point: FiberPoint) -> dict[Var, Fraction]:
 
 
 def in_opposite_schubert(U: Subspace, J_b: KSubset) -> bool:
-    """Delta_I(U) = 0 for every I not componentwise >= J_b."""
-    pv = plucker_vector(U)
-    return all(val == 0 for I, val in pv.items() if not J_b.leq(I))
+    """Delta_I(U) = 0 for every I not componentwise >= J_b.
+
+    The I with Delta_I(U) != 0 are the bases of the column matroid of U.
+    Its greedy basis, the pivot columns P of an echelon form of U, is
+    componentwise <= every other basis, and is a basis itself. So every
+    such I is >= J_b exactly when P is, and one echelon form decides
+    membership without any minor."""
+    P = KSubset(U.n, tuple(c + 1 for c in linalg.pivots(U.basis)))
+    return J_b.leq(P)
 
 
 def in_classical_positroid(U: Subspace, J: JugglingPattern) -> bool:
     """phi^b(U) in X^-_(J_b) for all b, phi the eps=1 quiver map."""
-    rows = [list(row) for row in U.basis]
-    for b in range(J.n):
-        V = Subspace(U.n, _frac_rows(rows))
-        if not in_opposite_schubert(V, J.entries[b]):
-            return False
-        rows = [apply_quiver_map(row, 1) for row in rows]
-    return True
+    return all(in_opposite_schubert(Subspace(U.n, map_subspace(U, 1, b)), Jb)
+               for b, Jb in enumerate(J.entries))
 
 
 def in_positroid_fiber(point: FiberPoint, J: JugglingPattern) -> bool:
-    if point.n != J.n:
-        raise FiberError("vertex count mismatch")
+    """M(eps) U_b <= U_{b+1} and U_b in X^-_(J_b) for every vertex b."""
+    if (point.k, point.n) != (J.k, J.n):
+        raise FiberError(
+            f"a point of Gr({point.k},{point.n})^{point.n} is not on a fiber "
+            f"of the ({J.k},{J.n}) pattern {J}")
     if not is_subrepresentation(point):
         return False
     return all(in_opposite_schubert(U, Jb)
@@ -170,49 +190,25 @@ def torus_fixed_point(S: AnchorSet, eps) -> FiberPoint:
 
 # -- k=1 parametrization -----------------------------------------------------
 
-def _poly_shift(vec: list[dict], n: int) -> list[dict]:
-    # entries are eps-polynomials as {degree: coeff}; apply M(t) symbolically
-    out = [dict(vec[i + 1]) for i in range(n - 1)]
-    out.append({d + 1: c for d, c in vec[0].items()})
-    return out
-
-
 def k1_point(J: JugglingPattern, lam: Mapping[int, Fraction],
              eps) -> FiberPoint:
     """Parametrized point of the k=1 fiber: v_0 = sum of lam_l w_{l+1} over
-    the ones locus, propagated by M(eps); each vertex vector is cleared of
-    its epsilon content before specializing, so the eps=0 limit is taken
-    per vertex."""
+    the ones locus, and v_b = M(eps)^b v_0. The entries of v_0 that wrap
+    pick up a factor eps; a vertex whose nonzero entries all wrap drops
+    that common factor, so the eps=0 limit is taken per vertex."""
     if J.k != 1:
         raise FiberError("k1_point requires k = 1")
     L = J.ones_locus
     if not set(lam) <= set(L):
         raise FiberError(f"lambda must be supported on the ones locus {set(L)}")
-    eps = Fraction(eps)
-    n = J.n
-    vec: list[dict] = [dict() for _ in range(n)]
-    for l, c in lam.items():
-        c = Fraction(c)
-        if c:
-            vec[(l + 1) - 1] = {0: c}
-    if all(not e for e in vec):
+    v0 = [Fraction(lam.get(l, 0)) for l in range(J.n)]
+    if not any(v0):
         raise FiberError("lambda must not be identically zero")
-    spaces = []
-    for b in range(n):
-        nonzero = [e for e in vec if e]
-        shift = min(min(e) for e in nonzero)
-        row = []
-        for e in vec:
-            val = Fraction(0)
-            for d, c in e.items():
-                val += c * eps ** (d - shift)
-            row.append(val)
-        if not any(row):
-            raise FiberError(
-                f"vertex {b} degenerates to zero for this lambda")
-        spaces.append(Subspace(n, (tuple(row),)))
-        vec = _poly_shift(vec, n)
-    return FiberPoint(eps, tuple(spaces))
+    # M(eps)^b moves v0[b:] down without a factor and wraps v0[:b].
+    spaces = tuple(
+        Subspace(J.n, (apply_quiver_map(v0, eps if any(v0[b:]) else 1, b),))
+        for b in range(J.n))
+    return FiberPoint(eps, spaces)
 
 
 def project_and_check(point: FiberPoint, J: JugglingPattern) -> list[bool]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .patterns import all_subsets
 from .poly import (EPSILON, Monomial, Polynomial, Var, dedup, grlex_key,
-                   primitive_terms, var_sort_key)
+                   primitive_terms)
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -292,7 +292,7 @@ def plucker_universe(k: int, n: int, colors: list[int] | None = None,
     if colors is None:
         colors = list(range(n))
     vs = [("D", a, I.elements) for a in colors for I in all_subsets(k, n)]
-    vs.sort(key=var_sort_key)
+    vs.sort()
     if with_epsilon:
         vs.append(EPSILON)
     return tuple(vs)

@@ -1,6 +1,7 @@
-"""Exact linear algebra over the rationals: rank and determinant.
+"""Exact linear algebra over the rationals: rank, pivot columns and
+determinant.
 
-Matrices are lists of rows; entries are ints or Fractions. Both rest on one
+Matrices are lists of rows; entries are ints or Fractions. All rest on one
 fraction-free row reduction, `_echelon`, on sparse integer rows that are
 divided by their content after every step. A kept row is then primitive
 and proportional to a vector of minors of the input (with its row
@@ -60,6 +61,12 @@ def _echelon(rows: Sequence[Sequence]
 def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank of a rational matrix."""
     return len(_echelon(rows))
+
+
+def pivots(rows: Sequence[Sequence]) -> list[int]:
+    """The pivot columns (0-based) of an echelon form of the rows: column c
+    is a pivot when it is not in the span of the columns before it."""
+    return sorted(_echelon(rows))
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:

@@ -248,6 +248,4 @@ def parse_pattern(text: str) -> JugglingPattern:
         entries = tuple(KSubset(n, (int(p),)) for p in parts)
         return JugglingPattern(1, n, entries)
     except ValueError as exc:
-        if isinstance(exc, PatternError):
-            raise
-        raise PatternError(f"malformed pattern string {text!r}") from exc
+        raise PatternError(f"bad pattern {text!r}: {exc}") from exc

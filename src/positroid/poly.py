@@ -3,7 +3,9 @@
 Variables are plain tuples: EPSILON = ("e",) and ("D", a, I) for the
 Pluecker coordinate of color a in Z_n and sorted k-subset I. Unsorted index
 tuples are absorbed into coefficients via the sign of the sorting
-permutation; repeated indices give the zero polynomial.
+permutation; repeated indices give the zero polynomial. The variable order
+is the natural tuple order: Pluecker variables by color, then subset lex,
+and epsilon last (since "D" < "e").
 
 This module owns the monomial order, grlex (`grlex_key` on dense exponent
 tuples, used by `groebner`, and its sparse form on `Monomial`), and the
@@ -31,13 +33,6 @@ def plucker_var(a: int, elements: Iterable[int]) -> Var:
     return ("D", a, elems)
 
 
-def var_sort_key(v: Var):
-    # Pluecker variables first, ordered by color then subset lex; epsilon last.
-    if v[0] == "D":
-        return (0, v[1], v[2])
-    return (1,)
-
-
 def sort_sign(indices: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Sign of the permutation sorting `indices`; 0 on repeats."""
     seq = list(indices)
@@ -60,7 +55,7 @@ class Monomial:
         items = [(v, e) for v, e in exps if e]
         if any(e < 0 for _, e in items):
             raise ValueError("negative exponent")
-        items.sort(key=lambda ve: var_sort_key(ve[0]))
+        items.sort()
         self.exps = tuple(items)
         self._hash = hash(self.exps)
 
@@ -256,7 +251,7 @@ class Polynomial:
 
 def grlex_key(nplucker: int):
     """The grlex key on dense exponent tuples over a variable universe that
-    lists the Pluecker variables in `var_sort_key` order, then epsilon if
+    lists the Pluecker variables in variable order, then epsilon if
     present: degree in the Pluecker variables, then the exponents
     lexicographically (more of an earlier variable is larger), so that the
     epsilon exponent decides only between equal Pluecker parts. Larger key
@@ -269,10 +264,9 @@ def grlex_key(nplucker: int):
 def _grlex_rank(m: Monomial):
     # `grlex_key` on a sparse monomial, reversed: the smallest rank is the
     # largest monomial. With equal degrees, the list of Pluecker variables
-    # repeated by exponent in `var_sort_key` order is smaller exactly when
-    # the exponent vector is lexicographically larger.
-    seq = tuple(var_sort_key(v) for v, e in m.exps if v != EPSILON
-                for _ in range(e))
+    # repeated by exponent in variable order is smaller exactly when the
+    # exponent vector is lexicographically larger.
+    seq = tuple(v for v, e in m.exps if v != EPSILON for _ in range(e))
     return (-len(seq), seq, -m.epsilon_exponent())
 
 

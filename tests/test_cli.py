@@ -17,6 +17,23 @@ def run(*args):
     return CliRunner().invoke(main, list(args))
 
 
+GOOD_POINT = torus_fixed_point(AnchorSet(3, (0,)), 1).to_json()
+
+# Point files that `membership` must reject, by name.
+BAD_POINTS = {
+    "vertex-count": torus_fixed_point(AnchorSet(4, (0,)), 1).to_json(),
+    "no-spaces": {"epsilon": "1", "spaces": []},
+    "space-without-rows": {**GOOD_POINT,
+                           "spaces": [[["1", "0", "0"]], [],
+                                      [["0", "0", "1"]]]},
+    "top-level-list": [GOOD_POINT],
+    "epsilon-1/0": {**GOOD_POINT, "epsilon": "1/0"},
+    "unequal-lengths": {**GOOD_POINT,
+                        "spaces": [[["0", "0", "1"]], [["0", "1"]],
+                                   [["1", "0", "0"]]]},
+}
+
+
 class TestPatterns:
     def test_count_and_listing(self):
         res = run("patterns", "1", "3", "--json")
@@ -166,6 +183,8 @@ class TestMembership:
         path.write_text("{\"nope\": 1}")
         assert run("membership", "--point", str(path),
                    "--pattern", "1,1,1").exit_code == 2
+        assert run("membership", "--point", str(tmp_path),
+                   "--pattern", "1,1,1").exit_code == 2
 
 
 class TestInvalidInput:
@@ -185,12 +204,22 @@ class TestInvalidInput:
         ("flatness", "1", "3", "--all", "--max-degree", "-1"),
         ("hilbert", "1,1,2", "--multidegree", "20,20,20"),
         ("basis", "--pattern", "1,1,2", "--multidegree", "20,20,20"),
+        *(("membership", "--point", f"POINT:{name}", "--pattern", "1,1,1")
+          for name in BAD_POINTS),
     ])
     def test_usage_error_without_traceback(self, args, tmp_path):
-        path = tmp_path / "point.json"
-        path.write_text(json.dumps(
-            torus_fixed_point(AnchorSet(3, (0,)), 1).to_json()))
-        res = run(*(str(path) if a == "POINT" else a for a in args))
+        # "POINT" stands for a file holding GOOD_POINT, "POINT:name" for one
+        # holding BAD_POINTS[name].
+        def arg(a):
+            if not a.startswith("POINT"):
+                return a
+            path = tmp_path / "point.json"
+            _, _, name = a.partition(":")
+            path.write_text(json.dumps(BAD_POINTS[name] if name
+                                       else GOOD_POINT))
+            return str(path)
+
+        res = run(*map(arg, args))
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
@@ -198,6 +227,11 @@ class TestInvalidInput:
         # No message may advise a parameter the verb lacks (`flatness` has
         # no --max-n).
         assert "max_n" not in res.output
+
+    def test_bad_pattern_message_names_the_input(self):
+        res = run("ideal", "1,x")
+        assert res.exit_code == 2, res.output
+        assert "bad pattern '1,x'" in res.output
 
     def test_groebner_cap_hit_is_usage_error(self, monkeypatch):
         monkeypatch.setattr(groebner, "MAX_TERMS", 1)

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from positroid import linalg
 from positroid.fibers import (
     FiberError,
     FiberPoint,
@@ -17,13 +19,13 @@ from positroid.fibers import (
     plucker_assignment,
     plucker_vector,
     project_and_check,
-    quiver_map_power,
     torus_fixed_point,
 )
 from positroid.patterns import (
     AnchorSet,
     JugglingPattern,
     KSubset,
+    all_subsets,
     components_of_special_fiber,
     enumerate_patterns,
     pattern_from_anchor,
@@ -50,8 +52,15 @@ class TestQuiverMap:
                 for i in range(n):
                     v = [F(0)] * n
                     v[i] = F(1)
-                    out = quiver_map_power(v, eps, n)
-                    assert out == [x * eps for x in v]
+                    assert apply_quiver_map(v, eps, n) == [x * eps for x in v]
+                # The closed form of every power up to 2n against repeated
+                # single steps w_i -> w_{i-1}, w_1 -> eps * w_n, on a vector
+                # with no zero entry.
+                v = [F(3 + i, 2) for i in range(n)]
+                stepped = list(v)
+                for a in range(2 * n + 1):
+                    assert apply_quiver_map(v, eps, a) == stepped, (n, eps, a)
+                    stepped = stepped[1:] + [eps * stepped[0]]
 
 
 class TestSubspace:
@@ -73,7 +82,34 @@ class TestSubspace:
         assert pv[KSubset(4, (1, 3))] == 0
 
 
+def _integer_matrices(shape):
+    n, k = shape
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=k, max_size=k)
+
+
+# Full-rank integer k x n matrices with 0 < k < n <= 6; small entries make
+# many minors vanish without making the span a coordinate subspace.
+full_rank_subspaces = (
+    st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n),
+                                                  st.integers(1, n - 1)))
+    .flatmap(_integer_matrices)
+    .filter(lambda rows: linalg.rank(rows) == len(rows))
+    .map(lambda rows: Subspace(len(rows[0]), rows)))
+
+
 class TestMembership:
+    @settings(max_examples=200, deadline=None)
+    @given(full_rank_subspaces)
+    def test_opposite_schubert_matches_minors(self, U):
+        # The pivot rule against its definition: Delta_I(U) = 0 for every
+        # I not componentwise >= J_b.
+        pv = plucker_vector(U)
+        for Jb in all_subsets(U.k, U.n):
+            expected = all(v == 0 for I, v in pv.items() if not Jb.leq(I))
+            assert in_opposite_schubert(U, Jb) == expected, Jb
+
+
     def test_opposite_schubert_characterization(self):
         U = Subspace.span_of_coordinates(3, (2,))
         assert in_opposite_schubert(U, KSubset(3, (1,)))

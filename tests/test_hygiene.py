@@ -1,6 +1,7 @@
-"""Every import in the package modules and the tests is used, no package
-module imports another's private name, and every binding the benchmark
-tracer wraps exists.
+"""Every import in the package modules and the tests is used, every private
+module-level function or class of the package is used in its module, no
+package module imports another's private name, and every binding the
+benchmark tracer wraps exists.
 
 No linter is a dependency of this project, so this walks the syntax tree of
 each module: a name bound by an import must be referenced somewhere else in
@@ -39,6 +40,23 @@ def test_no_unused_imports():
         unused.extend(f"{path.relative_to(ROOT)}: {name}"
                       for name in _imported_names(tree) if name not in used)
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_unused_private_functions():
+    # A private helper serves its own module only, so one that no other
+    # top-level statement of the module names is dead code.
+    unused = []
+    for path in sorted((ROOT / "src" / "positroid").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = [{n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                 for stmt in tree.body]
+        for i, stmt in enumerate(tree.body):
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_")
+                    and not any(stmt.name in used for j, used
+                                in enumerate(names) if j != i)):
+                unused.append(f"{path.name}: {stmt.name}")
+    assert not unused, "unused private functions:\n" + "\n".join(unused)
 
 
 def test_no_private_names_imported_between_modules():

@@ -1,5 +1,6 @@
-"""Exact rank and determinant: sympy as an oracle, invariance under row
-operations, and the entry-size bound of the row reduction."""
+"""Exact rank, pivot columns and determinant: sympy as an oracle,
+invariance under row operations, and the entry-size bound of the row
+reduction."""
 
 import math
 import random
@@ -39,7 +40,9 @@ class TestOracle:
     @given(matrices)
     def test_rank_matches_sympy(self, rows):
         sympy = pytest.importorskip("sympy")
-        assert linalg.rank(rows) == _sympy_matrix(sympy, rows).rank()
+        ref = _sympy_matrix(sympy, rows)
+        assert linalg.rank(rows) == ref.rank()
+        assert linalg.pivots(rows) == list(ref.rref()[1])
 
     @settings(max_examples=100, deadline=None)
     @given(square_matrices)
