@@ -11,7 +11,7 @@ themselves (`plucker_vector`) serve only to evaluate ideal generators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -29,17 +29,20 @@ class FiberError(ValueError):
 @dataclass(frozen=True)
 class Subspace:
     """A k-dimensional subspace of the n-space, spanned by the rows of an
-    exact full-rank k x n matrix."""
+    exact full-rank k x n matrix. `pivots` holds the (0-based) pivot
+    columns of its echelon form, one per row."""
 
     n: int
     basis: tuple[tuple[Fraction, ...], ...]
+    pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(
             tuple(Fraction(x) for x in row) for row in self.basis))
         if any(len(row) != self.n for row in self.basis):
             raise FiberError(f"rows must have length {self.n}")
-        if linalg.rank(self.basis) != len(self.basis):
+        object.__setattr__(self, "pivots", tuple(linalg.pivots(self.basis)))
+        if len(self.pivots) != len(self.basis):
             raise FiberError("basis rows are not linearly independent")
 
     @property
@@ -110,9 +113,8 @@ def apply_quiver_map(vec: Sequence[Fraction], eps, a: int = 1
     the end with a factor eps."""
     eps = Fraction(eps)
     q, r = divmod(a, len(vec))
-    scale = eps ** q
-    return ([scale * x for x in vec[r:]]
-            + [scale * eps * x for x in vec[:r]])
+    out = list(vec[r:]) + [eps * x for x in vec[:r]]
+    return [eps ** q * x for x in out] if q else out
 
 
 def map_subspace(U: Subspace, eps, a: int = 1) -> list[list[Fraction]]:
@@ -158,7 +160,7 @@ def in_opposite_schubert(U: Subspace, J_b: KSubset) -> bool:
     componentwise <= every other basis, and is a basis itself. So every
     such I is >= J_b exactly when P is, and one echelon form decides
     membership without any minor."""
-    P = KSubset(U.n, tuple(c + 1 for c in linalg.pivots(U.basis)))
+    P = KSubset(U.n, tuple(c + 1 for c in U.pivots))
     return J_b.leq(P)
 
 

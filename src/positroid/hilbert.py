@@ -2,44 +2,33 @@
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, prod
 
 from . import groebner, linalg
-from .patterns import all_subsets
 from .poly import Monomial
 
 
 def monomials_of_multidegree(k: int, n: int,
                              m: tuple[int, ...]) -> list[Monomial]:
     """All monomials in the colored Pluecker variables with exactly m_b
-    factors of color b."""
+    factors of color b, in lexicographic order of their per-color k-subset
+    lists.
+
+    Their number, prod_b C(N + m_b - 1, m_b) with N = C(n, k), is checked
+    against MAX_COMPONENT_MONOMIALS before any monomial is built."""
     if len(m) != n:
         raise ValueError(f"multidegree length {len(m)} != n={n}")
-    subsets = [I.elements for I in all_subsets(k, n)]
-    per_color = []
-    for b, mb in enumerate(m):
-        opts = []
-        for combo in combinations_with_replacement(subsets, mb):
-            exps: dict = {}
-            for I in combo:
-                v = ("D", b, I)
-                exps[v] = exps.get(v, 0) + 1
-            opts.append(tuple(exps.items()))
-        per_color.append(opts)
-    total = 1
-    for opts in per_color:
-        total *= len(opts)
-        if total > groebner.MAX_COMPONENT_MONOMIALS:
-            raise groebner.ResourceCapExceeded(
-                f"multidegree {m} has more than "
-                f"{groebner.MAX_COMPONENT_MONOMIALS} monomials")
-    out = []
-    for pick in product(*per_color):
-        exps = []
-        for chunk in pick:
-            exps.extend(chunk)
-        out.append(Monomial(exps))
-    return out
+    N, cap = comb(n, k), groebner.MAX_COMPONENT_MONOMIALS
+    if prod(comb(N + mb - 1, mb) for mb in m) > cap:
+        raise groebner.ResourceCapExceeded(
+            f"multidegree {m} has more than {cap} monomials")
+    subsets = list(combinations(range(1, n + 1), k))
+    per_color = [[tuple((("D", b, I), combo.count(I))
+                        for I in dict.fromkeys(combo))
+                  for combo in combinations_with_replacement(subsets, mb)]
+                 for b, mb in enumerate(m)]
+    return [Monomial(sum(pick, ())) for pick in product(*per_color)]
 
 
 def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:

@@ -191,10 +191,13 @@ def sample_points(J: JugglingPattern, count: int, eps=1) -> list[FiberPoint]:
 
 
 def verify_basis(J: JugglingPattern, m: tuple[int, ...],
-                 epsilons=(0, 1, 2, -1)) -> dict:
+                 epsilons=(0, 1, 2, -1)) -> tuple[bool, dict]:
     """Check the basis property in multidegree m: the admissible count
-    matches the graded component dimension at every epsilon, and the
-    evaluation matrix on sampled points at eps=1 has full rank."""
+    equals the binomial count and the graded component dimension at every
+    epsilon, and the evaluation matrix on sampled points at eps=1 has full
+    rank. Returns (passed, case), case being the `basis` report case:
+    `admissible`, `count`, `binomial`, `dims` (keyed "p/q") and
+    `evaluation_rank`."""
     mons = enumerate_admissible(J, m)
     count = len(mons)
     binomial = expected_count(J, m)
@@ -214,24 +217,14 @@ def verify_basis(J: JugglingPattern, m: tuple[int, ...],
             break
         samples *= 2
 
-    dim_ok = all(d == count for d in dims.values())
-    report = {
-        "pattern": str(J),
-        "multidegree": list(m),
-        "count_admissible": count,
-        "binomial_count": binomial,
+    passed = (all(d == count for d in dims.values())
+              and rank == count == binomial)
+    case = {
+        "admissible": [str(mon) for mon in mons],
+        "count": count,
+        "binomial": binomial,
         "dims": {f"{e.numerator}/{e.denominator}": d
                  for e, d in sorted(dims.items())},
         "evaluation_rank": rank,
-        "pass": bool(dim_ok and rank == count and count == binomial),
     }
-    if not report["pass"]:
-        report["witness"] = {
-            "pattern": str(J),
-            "multidegree": list(m),
-            "count": count,
-            "binomial": binomial,
-            "dims": report["dims"],
-            "rank": rank,
-        }
-    return report
+    return passed, case

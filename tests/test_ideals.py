@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from positroid.groebner import Ideal
+from positroid import hilbert
+from positroid.groebner import Ideal, ResourceCapExceeded
 from positroid.hilbert import graded_component_dim, monomials_of_multidegree
 from positroid.ideals import (
     classical_plucker_generators,
@@ -183,6 +184,15 @@ class TestMonomialsOfMultidegree:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             monomials_of_multidegree(1, 3, (1, 0))
+
+    def test_cap_is_decided_before_enumerating(self, monkeypatch):
+        # C(25, 16) = 2042975 monomials of color 0 exceed the cap; the
+        # closed-form count must say so before any of them is built.
+        def refuse(*args):
+            raise AssertionError("enumerated a component over the cap")
+        monkeypatch.setattr(hilbert, "combinations_with_replacement", refuse)
+        with pytest.raises(ResourceCapExceeded):
+            monomials_of_multidegree(2, 5, (16, 0, 0, 0, 0))
 
 
 class TestGradedComponentDim:

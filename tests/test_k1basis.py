@@ -149,12 +149,12 @@ class TestSampling:
 
 class TestVerifyBasis:
     def test_constant_pattern_passes(self):
-        report = verify_basis(constant(3), (1, 1, 0))
-        assert report["pass"]
-        assert report["count_admissible"] == 6
-        assert report["binomial_count"] == 6
-        assert set(report["dims"].values()) == {6}
-        assert report["evaluation_rank"] == 6
+        passed, case = verify_basis(constant(3), (1, 1, 0))
+        assert passed
+        assert case["count"] == 6
+        assert case["binomial"] == 6
+        assert set(case["dims"].values()) == {6}
+        assert case["evaluation_rank"] == 6
 
     def test_failure_reports_witness(self, monkeypatch):
         # The graded dimension equals the admissible count here, so a
@@ -162,9 +162,11 @@ class TestVerifyBasis:
         dim = hilbert.graded_component_dim
         monkeypatch.setattr(hilbert, "graded_component_dim",
                             lambda ideal, m: dim(ideal, m) + 1)
-        report = verify_basis(P(1, 3, (3,), (2,), (1,)), (0, 0, 1))
-        assert not report["pass"]
-        assert "witness" in report
+        passed, case = verify_basis(P(1, 3, (3,), (2,), (1,)), (0, 0, 1))
+        # The failing case is the witness: it carries count and dims.
+        assert not passed
+        assert case["count"] == 1
+        assert set(case["dims"].values()) == {2}
 
 
 def _all_monomials(n, m):
