@@ -38,7 +38,8 @@ class Subspace:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(
-            tuple(Fraction(x) for x in row) for row in self.basis))
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in self.basis))
         if any(len(row) != self.n for row in self.basis):
             raise FiberError(f"rows must have length {self.n}")
         object.__setattr__(self, "pivots", tuple(linalg.pivots(self.basis)))

@@ -1,22 +1,33 @@
-"""Multigraded component dimensions of quotient rings via exact rank."""
+"""Multigraded component dimensions of quotient rings via exact rank.
+
+A specialized ideal I of the colored Pluecker ring S contains some
+variables as generators of their own (one term of degree 1): the Schubert
+vanishing monomials of `ideals`. With Z the set of those variables and I'
+the other generators, S/(Z + I') is isomorphic to S'/(I' mod Z), where S'
+is the ring in the variables outside Z and I' mod Z drops every term that
+contains a variable of Z. So the graded components are computed over S'.
+"""
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
+from typing import Container
 
 from . import groebner, linalg
-from .poly import Monomial
+from .poly import Monomial, Var
 
 
-def monomials_of_multidegree(k: int, n: int,
-                             m: tuple[int, ...]) -> list[Monomial]:
-    """All monomials in the colored Pluecker variables with exactly m_b
-    factors of color b, in lexicographic order of their per-color k-subset
-    lists.
+def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
+                             excluded: Container[Var] = frozenset()
+                             ) -> list[Monomial]:
+    """All monomials in the colored Pluecker variables outside `excluded`
+    with exactly m_b factors of color b, in lexicographic order of their
+    per-color k-subset lists.
 
-    Their number, prod_b C(N + m_b - 1, m_b) with N = C(n, k), is checked
-    against MAX_COMPONENT_MONOMIALS before any monomial is built."""
+    The full-ring count, prod_b C(N + m_b - 1, m_b) with N = C(n, k), is
+    checked against MAX_COMPONENT_MONOMIALS before any monomial is built,
+    whatever `excluded` leaves out."""
     if len(m) != n:
         raise ValueError(f"multidegree length {len(m)} != n={n}")
     N, cap = comb(n, k), groebner.MAX_COMPONENT_MONOMIALS
@@ -26,7 +37,9 @@ def monomials_of_multidegree(k: int, n: int,
     subsets = list(combinations(range(1, n + 1), k))
     per_color = [[tuple((("D", b, I), combo.count(I))
                         for I in dict.fromkeys(combo))
-                  for combo in combinations_with_replacement(subsets, mb)]
+                  for combo in combinations_with_replacement(
+                      [I for I in subsets if ("D", b, I) not in excluded],
+                      mb)]
                  for b, mb in enumerate(m)]
     return [Monomial(sum(pick, ())) for pick in product(*per_color)]
 
@@ -34,26 +47,41 @@ def monomials_of_multidegree(k: int, n: int,
 def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     """Dimension of the multidegree-m component of the quotient ring.
 
-    Requires a specialized (epsilon-free) ideal: the count of multidegree-m
-    monomials minus the exact rank of the span of all generator*monomial
-    products of multidegree m.
+    Requires a specialized (epsilon-free) ideal. Z is read from the
+    ideal's own generators: the variables of those that are a single term
+    of degree 1. No other generator needs its terms in Z removed
+    beforehand. As S/(Z + I') = S'/(I' mod Z), the dimension is the count
+    of multidegree-m monomials in the variables outside Z minus the exact
+    rank of the span of the products of every other generator, with its
+    terms in Z dropped, by the monomials of S' of the complementary
+    multidegree.
     """
     if ideal.has_epsilon:
         raise ValueError("specialize epsilon before computing graded "
                          "component dimensions")
-    basis = monomials_of_multidegree(ideal.k, ideal.n, m)
+    k, n = ideal.k, ideal.n
+    zero = {v for g in ideal.generators if len(g.terms) == 1
+            for mono in g.terms if mono.degree == 1 for v, _ in mono.exps}
+    basis = monomials_of_multidegree(k, n, m, zero)
     index = {mono: i for i, mono in enumerate(basis)}
+    cofactors: dict[tuple[int, ...], list[Monomial]] = {}
     rows = []
     for g in ideal.generators:
-        d = g.multidegree(ideal.n)
+        d = g.multidegree(n)
         if d is None:
             raise ValueError(f"generator is not multihomogeneous: {g!r}")
         diff = tuple(mb - db for mb, db in zip(m, d))
         if any(x < 0 for x in diff):
             continue
-        for mu in monomials_of_multidegree(ideal.k, ideal.n, diff):
+        terms = [(mono, c) for mono, c in g.terms.items()
+                 if not any(v in zero for v, _ in mono.exps)]
+        if not terms:
+            continue
+        if diff not in cofactors:
+            cofactors[diff] = monomials_of_multidegree(k, n, diff, zero)
+        for mu in cofactors[diff]:
             row = [0] * len(basis)
-            for mono, c in g.terms.items():
+            for mono, c in terms:
                 row[index[mono * mu]] = c
             rows.append(row)
     return len(basis) - linalg.rank(rows)

@@ -1,0 +1,132 @@
+"""Graded components over the variables outside the vanishing set, checked
+against the full-ring computation."""
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+
+import pytest
+
+from positroid import hilbert, linalg
+from positroid.groebner import Ideal, ResourceCapExceeded
+from positroid.hilbert import graded_component_dim, monomials_of_multidegree
+from positroid.ideals import (
+    classical_plucker_generators,
+    epsilon_relations,
+    global_positroid_ideal,
+    schubert_vanishing_generators,
+    shifted_schubert_vanishing_generators,
+)
+from positroid.patterns import enumerate_patterns
+from positroid.poly import Polynomial, dedup
+
+EPSILONS = (Fraction(0), Fraction(1), Fraction(-2, 3))
+
+
+def D(a, *idx):
+    return Polynomial.plucker(a, idx)
+
+
+def multidegrees(n, top):
+    """Every multidegree of n entries with 1 <= |m| <= top."""
+    return [m for m in product(range(top + 1), repeat=n)
+            if 1 <= sum(m) <= top]
+
+
+def full_ring_dim(ideal, m):
+    """The component dimension in the full ring: one dense row per
+    generator and cofactor monomial, one column per monomial."""
+    basis = monomials_of_multidegree(ideal.k, ideal.n, m)
+    index = {mono: i for i, mono in enumerate(basis)}
+    rows = []
+    for g in ideal.generators:
+        diff = tuple(mb - db for mb, db in zip(m, g.multidegree(ideal.n)))
+        if any(x < 0 for x in diff):
+            continue
+        for mu in monomials_of_multidegree(ideal.k, ideal.n, diff):
+            row = [0] * len(basis)
+            for mono, c in g.terms.items():
+                row[index[mono * mu]] = c
+            rows.append(row)
+    return len(basis) - linalg.rank(rows)
+
+
+@lru_cache(maxsize=None)
+def quadrics_and_relations(k, n):
+    return ([g for a in range(n)
+             for g in classical_plucker_generators(k, n, a)]
+            + epsilon_relations(k, n))
+
+
+def unreduced_ideal(J):
+    """The generator families of `global_positroid_ideal`, with no term
+    of the quadrics or the relations dropped."""
+    gens = quadrics_and_relations(J.k, J.n) + schubert_vanishing_generators(J)
+    gens += shifted_schubert_vanishing_generators(J)
+    return Ideal(J.k, J.n, tuple(dedup(gens)), has_epsilon=True)
+
+
+def assert_matches_full_ring(J, ideal):
+    for eps in EPSILONS:
+        spec = ideal.specialize(eps)
+        for m in multidegrees(J.n, 2):
+            assert graded_component_dim(spec, m) == full_ring_dim(spec, m), \
+                (str(J), eps, m)
+
+
+class TestQuotientByVanishingVariables:
+    @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
+    def test_global_ideals_match_full_ring(self, k, n):
+        for J in enumerate_patterns(k, n):
+            assert_matches_full_ring(J, global_positroid_ideal(J))
+
+    @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
+    def test_terms_in_vanishing_variables_are_dropped(self, k, n):
+        # The quadrics and relations still carry terms in the vanishing
+        # variables here; the reduction must drop them itself.
+        carried = 0
+        for J in enumerate_patterns(k, n):
+            ideal = unreduced_ideal(J)
+            zero = {v for g in ideal.generators if len(g.terms) == 1
+                    for v in g.variables()}
+            carried += any(v in zero for g in ideal.generators
+                           if len(g.terms) > 1 for v in g.variables())
+            assert_matches_full_ring(J, ideal)
+        assert carried
+
+    def test_only_single_variable_generators_vanish(self):
+        # D0_1 - D0_2 is linear but no variable of it is zero in the
+        # quotient; 3*D1_3 is, and it kills D0_1*D1_3 and one term of the
+        # last generator.
+        gens = (D(0, 1) - D(0, 2), D(1, 3).scale(3), D(0, 1) * D(1, 3),
+                D(0, 2) * D(1, 3) - D(0, 3) * D(1, 1))
+        ideal = Ideal(1, 3, gens, has_epsilon=False)
+        for m in multidegrees(3, 3):
+            assert graded_component_dim(ideal, m) == full_ring_dim(ideal, m)
+
+
+class TestExcludedVariables:
+    def test_exclusion_filters_the_full_list_in_order(self):
+        for k, n, m in [(1, 3, (2, 0, 1)), (2, 4, (1, 1, 0, 0)),
+                        (2, 4, (2, 0, 1, 0)), (1, 4, (1, 2, 0, 1))]:
+            full = monomials_of_multidegree(k, n, m)
+            variables = sorted({v for mono in full for v, _ in mono.exps})
+            for excluded in (set(variables[::2]), set(variables[1::3]),
+                             set(variables)):
+                kept = [mono for mono in full
+                        if not any(v in excluded for v, _ in mono.exps)]
+                assert monomials_of_multidegree(k, n, m, excluded) == kept
+
+    def test_cap_counts_the_full_ring(self, monkeypatch):
+        # With every variable excluded nothing would be built, yet the
+        # full-ring count C(25, 16) still exceeds the cap.
+        everything = {v for b in range(5)
+                      for mono in monomials_of_multidegree(
+                          2, 5, tuple(int(c == b) for c in range(5)))
+                      for v, _ in mono.exps}
+
+        def refuse(*args):
+            raise AssertionError("enumerated a component over the cap")
+        monkeypatch.setattr(hilbert, "combinations_with_replacement", refuse)
+        with pytest.raises(ResourceCapExceeded):
+            monomials_of_multidegree(2, 5, (16, 0, 0, 0, 0), everything)
