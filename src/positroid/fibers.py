@@ -26,6 +26,15 @@ class FiberError(ValueError):
     pass
 
 
+def _typed(x, kind):
+    # x if it has exactly the type `kind`: the `to_json` form is lists of
+    # lists of "p/q" strings, and Fraction would also read a JSON number or
+    # boolean, and iterating would read a string row "10" as (1, 0).
+    if type(x) is not kind:
+        raise TypeError(f"expected a {kind.__name__}, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A k-dimensional subspace of the n-space, spanned by the rows of an
@@ -94,11 +103,13 @@ class FiberPoint:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FiberPoint":
-        """Read the `to_json` form; any other blob raises FiberError."""
+        """Read the `to_json` form: every number a string ("p/q"), in
+        lists at every level. Any other blob raises FiberError."""
         try:
-            eps = Fraction(data["epsilon"])
-            spaces = [[[Fraction(x) for x in row] for row in rows]
-                      for rows in data["spaces"]]
+            eps = Fraction(_typed(data["epsilon"], str))
+            spaces = [[[Fraction(_typed(x, str)) for x in _typed(row, list)]
+                       for row in _typed(rows, list)]
+                      for rows in _typed(data["spaces"], list)]
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise FiberError(
                 f"not a point object ({type(exc).__name__}: {exc})") from exc

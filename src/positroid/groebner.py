@@ -16,6 +16,11 @@ a leading monomial (the chain criterion, the reducer search of a division
 and the final interreduction) compares masks before exponents (Bachmann
 and Schoenemann, "Monomial representations for Groebner bases
 computations", ISSAC 1998).
+
+One elimination step, f -= c x^q g (`_eliminate`), is the step of the
+division `_reduce` and also builds the S-polynomial of g_i and g_j:
+(l / l_i) g_i / c_i, then one step by g_j with c = 1 / c_j, where l is the
+lcm of their leading monomials l_i, l_j and c_i, c_j their coefficients.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ MAX_COMPONENT_MONOMIALS = 200000
 
 
 def _to_dense(p: Polynomial, index: dict[Var, int], nvars: int):
+    missing = [v for v in p.variables() if v not in index]
+    if missing:
+        raise ValueError(f"variables outside the universe: {missing}")
     out = {}
     for m, c in p.terms.items():
         e = [0] * nvars
@@ -84,6 +92,17 @@ def _add_exp(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _eliminate(f: dict, g: dict, q, factor) -> None:
+    # f -= factor * x^q * g, in place, dropping the terms that cancel.
+    for e, c in g.items():
+        t = _add_exp(e, q)
+        s = f.get(t, Fraction(0)) - factor * c
+        if s:
+            f[t] = s
+        else:
+            f.pop(t, None)
+
+
 def _reduce(f: dict, basis: list[dict], leads: list[tuple],
             masks: list[int], key) -> dict:
     """The remainder of f under the division algorithm by `basis`, where
@@ -103,15 +122,7 @@ def _reduce(f: dict, basis: list[dict], leads: list[tuple],
         else:
             remainder[lead] = f.pop(lead)
             continue
-        q = _sub_exp(lead, lg)
-        factor = f[lead] / g[lg]
-        for e, c in g.items():
-            t = _add_exp(e, q)
-            s = f.get(t, Fraction(0)) - factor * c
-            if s:
-                f[t] = s
-            else:
-                f.pop(t, None)
+        _eliminate(f, g, _sub_exp(lead, lg), f[lead] / g[lg])
         if len(f) > MAX_TERMS:
             raise ResourceCapExceeded(
                 f"term count {len(f)} exceeds cap {MAX_TERMS}")
@@ -140,9 +151,6 @@ class GroebnerBasis:
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The normal form of p."""
-        missing = [v for v in p.variables() if v not in self._index]
-        if missing:
-            raise ValueError(f"variables outside the universe: {missing}")
         dense = _to_dense(p, self._index, len(self.variables))
         return _to_polynomial(_reduce(dense, self._basis, self._leads,
                                       self._masks, self._key),
@@ -185,17 +193,15 @@ def buchberger(generators: list[Polynomial],
 
     basis: list[dict] = []
     for p in dedup(generators):
-        missing = [v for v in p.variables() if v not in index]
-        if missing:
-            raise ValueError(f"variables outside the universe: {missing}")
-        if len(p.terms) > MAX_TERMS:
+        g = _to_dense(p, index, nvars)
+        if len(g) > MAX_TERMS:
             raise ResourceCapExceeded(
-                f"generator has {len(p.terms)} terms, cap {MAX_TERMS}")
+                f"generator has {len(g)} terms, cap {MAX_TERMS}")
         deg = p.total_degree()
         if deg > MAX_TOTAL_DEGREE:
             raise ResourceCapExceeded(
                 f"generator degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
-        basis.append(_to_dense(p, index, nvars))
+        basis.append(g)
     leads = [max(g, key=key) for g in basis]
     masks = [_mask(e) for e in leads]
 
@@ -236,20 +242,12 @@ def buchberger(generators: list[Polynomial],
                     break
         if skip:
             continue
+        # S = (l / l_i) g_i / c_i - (l / l_j) g_j / c_j: the second half is
+        # one elimination step of the division.
         gi, gj = basis[i], basis[j]
-        qi, qj = _sub_exp(l, li), _sub_exp(l, lj)
-        ci, cj = gi[li], gj[lj]
-        s: dict = {}
-        for e, c in gi.items():
-            t = _add_exp(e, qi)
-            s[t] = s.get(t, Fraction(0)) + c / ci
-        for e, c in gj.items():
-            t = _add_exp(e, qj)
-            v = s.get(t, Fraction(0)) - c / cj
-            if v:
-                s[t] = v
-            else:
-                s.pop(t, None)
+        qi, ci = _sub_exp(l, li), gi[li]
+        s = {_add_exp(e, qi): c / ci for e, c in gi.items()}
+        _eliminate(s, gj, _sub_exp(l, lj), 1 / gj[lj])
         r = _reduce(s, basis, leads, masks, key)
         if not r:
             continue

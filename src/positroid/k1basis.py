@@ -1,8 +1,12 @@
 """k=1 admissible monomials: the counting identity, the terminating
-rewriting system, and basis verification against graded dimensions."""
+rewriting system, and basis verification against graded dimensions and the
+evaluation rank on count + 3 points at eps=1 with integer parameters in
+[1, 2^20] from a seeded generator, generic by the Schwartz-Zippel lemma
+(Schwartz, J. ACM 27(4), 1980)."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -109,10 +113,7 @@ def rewrite_to_normal_form(mon: ColoredMonomial,
     e = 0
     trace = [mon.index_product()]
     current = mon
-    while True:
-        hit = _find_violation(current)
-        if hit is None:
-            break
+    while (hit := _find_violation(current)) is not None:
         b, s, u, r = hit
         i = factors[b][u]
         j = factors[(b + s) % n][r]
@@ -127,14 +128,10 @@ def rewrite_to_normal_form(mon: ColoredMonomial,
         factors[(b + s) % n].sort()
         current = ColoredMonomial(n, tuple(tuple(f) for f in factors))
         trace.append(current.index_product())
-    if J is not None:
-        L = J.ones_locus
-        for b, idx in enumerate(current.factors):
-            for i in idx:
-                if (b + i - 1) % n not in L:
-                    raise ZeroInQuotient(
-                        f"factor D{b}_{i} of the normal form has diagonal "
-                        f"{(b + i - 1) % n} outside the ones locus {set(L)}")
+    if J is not None and not is_admissible(current, J):
+        raise ZeroInQuotient(
+            f"the normal form {current} has a factor whose diagonal lies "
+            f"outside the ones locus {set(J.ones_locus)}")
     nf = NormalForm(e, current)
     return (nf, trace) if with_trace else nf
 
@@ -152,13 +149,9 @@ def enumerate_admissible(J: JugglingPattern,
     for b, mb in enumerate(m):
         allowed = [i for i in range(1, n + 1) if (b + i - 1) % n in L]
         per_vertex.append(list(combinations_with_replacement(allowed, mb)))
-    out = []
-    for pick in product(*per_vertex):
-        mon = ColoredMonomial(n, tuple(pick))
-        if _find_violation(mon) is None:
-            out.append(mon)
-    out.sort(key=lambda mo: mo.factors)
-    return out
+    # The product of the lexicographic per-vertex lists is lexicographic.
+    mons = (ColoredMonomial(n, pick) for pick in product(*per_vertex))
+    return [mon for mon in mons if _find_violation(mon) is None]
 
 
 def count_admissible(J: JugglingPattern, m: tuple[int, ...]) -> int:
@@ -171,19 +164,12 @@ def expected_count(J: JugglingPattern, m: tuple[int, ...]) -> int:
     return comb(M + J.ell - 1, M)
 
 
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-           61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127,
-           131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
-           197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269,
-           271, 277, 281, 283, 293, 307, 311, 313, 317, 331, 337, 347, 349]
-
-
 def sample_lambda(J: JugglingPattern, t: int) -> dict[int, Fraction]:
-    """The t-th deterministic parameter vector: consecutive primes."""
-    locus = sorted(J.ones_locus)
-    ell = len(locus)
-    return {l: Fraction(_PRIMES[(t * ell + j) % len(_PRIMES)] + t)
-            for j, l in enumerate(locus)}
+    """The t-th parameter vector: an integer in [1, 2^20] per element of
+    the ones locus, in increasing order, drawn by `random.Random(t)`."""
+    rng = random.Random(t)
+    return {l: Fraction(rng.randint(1, 1 << 20))
+            for l in sorted(J.ones_locus)}
 
 
 def sample_points(J: JugglingPattern, count: int, eps=1) -> list[FiberPoint]:
@@ -194,28 +180,20 @@ def verify_basis(J: JugglingPattern, m: tuple[int, ...],
                  epsilons=(0, 1, 2, -1)) -> tuple[bool, dict]:
     """Check the basis property in multidegree m: the admissible count
     equals the binomial count and the graded component dimension at every
-    epsilon, and the evaluation matrix on sampled points at eps=1 has full
-    rank. Returns (passed, case), case being the `basis` report case:
-    `admissible`, `count`, `binomial`, `dims` (keyed "p/q") and
+    epsilon, and the evaluation matrix on count + 3 sampled points at eps=1
+    has full rank. Returns (passed, case), case being the `basis` report
+    case: `admissible`, `count`, `binomial`, `dims` (keyed "p/q") and
     `evaluation_rank`."""
     mons = enumerate_admissible(J, m)
     count = len(mons)
     binomial = expected_count(J, m)
     ideal = ideals.global_positroid_ideal(J)
-    dims = {}
-    for eps in epsilons:
-        dims[Fraction(eps)] = hilbert.graded_component_dim(
-            ideal.specialize(eps), m)
+    dims = {Fraction(eps): hilbert.graded_component_dim(
+        ideal.specialize(eps), m) for eps in epsilons}
 
-    rank = 0
-    samples = count + 3
-    for _ in range(4):
-        points = sample_points(J, samples, eps=1)
-        matrix = [[mon.evaluate(pt) for mon in mons] for pt in points]
-        rank = linalg.rank(matrix) if count else 0
-        if rank == count:
-            break
-        samples *= 2
+    points = sample_points(J, count + 3, eps=1)
+    matrix = [[mon.evaluate(pt) for mon in mons] for pt in points]
+    rank = linalg.rank(matrix) if count else 0
 
     passed = (all(d == count for d in dims.values())
               and rank == count == binomial)

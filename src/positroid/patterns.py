@@ -211,7 +211,6 @@ def enumerate_patterns(k: int, n: int,
 
     for c in subsets:
         extend([c])
-    out.sort(key=lambda P: tuple(J.elements for J in P.entries))
     return out
 
 

@@ -100,13 +100,8 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    t[m] = c
-        self.terms = t
+        self.terms = {m: x for m, c in (terms or {}).items()
+                      if (x := Fraction(c))}
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -144,22 +139,21 @@ class Polynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    @classmethod
+    def _of(cls, terms: dict) -> "Polynomial":
+        # `terms` as they are: the caller keeps no zero coefficient in them.
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         t = dict(self.terms)
         for m, c in other.terms.items():
-            s = t.get(m, Fraction(0)) + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = t
-        return p
+            _add_term(t, m, c)
+        return Polynomial._of(t)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -168,23 +162,14 @@ class Polynomial:
         t: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = t.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    t[m] = s
-                else:
-                    t.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = t
-        return p
+                _add_term(t, m1 * m2, c1 * c2)
+        return Polynomial._of(t)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         if not c:
             return Polynomial.zero()
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: c * v for m, v in self.terms.items()}
-        return p
+        return Polynomial._of({m: c * v for m, v in self.terms.items()})
 
     def variables(self) -> set[Var]:
         return {v for m in self.terms for v, _ in m.exps}
@@ -208,16 +193,9 @@ class Polynomial:
             if e:
                 m = Monomial([(v, x) for v, x in m.exps if v != EPSILON])
                 c = c * value ** e
-            if not c:
-                continue
-            s = t.get(m, Fraction(0)) + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = t
-        return p
+            if c:
+                _add_term(t, m, c)
+        return Polynomial._of(t)
 
     def evaluate(self, assignment: Mapping[Var, Fraction]) -> Fraction:
         out = Fraction(0)
@@ -240,13 +218,21 @@ class Polynomial:
         """Clear content and make the leading coefficient positive."""
         if not self.terms:
             return self
-        p = Polynomial.__new__(Polynomial)
-        p.terms = primitive_terms(self.terms,
-                                  min(self.terms, key=_grlex_rank))
-        return p
+        return Polynomial._of(primitive_terms(
+            self.terms, min(self.terms, key=_grlex_rank)))
 
     def __repr__(self):
         return f"Polynomial({poly_to_text(self)!r})"
+
+
+def _add_term(terms: dict, m: Monomial, c: Fraction) -> None:
+    # terms[m] += c, dropping the entry when it cancels: a stored
+    # coefficient is never zero.
+    s = terms.get(m, Fraction(0)) + c
+    if s:
+        terms[m] = s
+    else:
+        terms.pop(m, None)
 
 
 def grlex_key(nplucker: int):

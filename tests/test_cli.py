@@ -31,6 +31,13 @@ BAD_POINTS = {
     "unequal-lengths": {**GOOD_POINT,
                         "spaces": [[["0", "0", "1"]], [["0", "1"]],
                                    [["1", "0", "0"]]]},
+    "epsilon-json-float": {**GOOD_POINT, "epsilon": 0.1},
+    "entry-json-true": {**GOOD_POINT,
+                        "spaces": [[["0", "0", True]], [["0", "1", "0"]],
+                                   [["1", "0", "0"]]]},
+    "row-as-string": {**GOOD_POINT,
+                      "spaces": [[["0", "0", "1"]], ["010"],
+                                 [["1", "0", "0"]]]},
 }
 
 

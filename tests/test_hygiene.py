@@ -1,7 +1,7 @@
 """Every import in the package modules and the tests is used, every private
-module-level function or class of the package is used in its module, no
-package module imports another's private name, and every binding the
-benchmark tracer wraps exists.
+module-level function or class of the package is used in its module, every
+public one is named somewhere, no package module imports another's private
+name, and every binding the benchmark tracer wraps exists.
 
 No linter is a dependency of this project, so this walks the syntax tree of
 each module: a name bound by an import must be referenced somewhere else in
@@ -57,6 +57,40 @@ def test_no_unused_private_functions():
                                 in enumerate(names) if j != i)):
                 unused.append(f"{path.name}: {stmt.name}")
     assert not unused, "unused private functions:\n" + "\n".join(unused)
+
+
+def _names(tree):
+    # Every identifier the tree refers to: plain names, attributes, imported
+    # names, and the dotted parts of string constants (the tracer names its
+    # bindings in strings).
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_no_unnamed_public_functions():
+    # An undecorated public module-level function or class that nothing in
+    # the package, the tests or the benchmark names is a dead wrapper.
+    # Decorated ones (CLI commands) are reached through their decorator.
+    named = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "bench").glob("*.py")]:
+        named.update(_names(ast.parse(path.read_text(), filename=str(path))))
+    unnamed = []
+    for path in sorted((ROOT / "src" / "positroid").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unnamed.extend(
+            f"{path.name}: {stmt.name}" for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.decorator_list and not stmt.name.startswith("_")
+            and stmt.name not in named)
+    assert not unnamed, "public names used nowhere:\n" + "\n".join(unnamed)
 
 
 def test_no_private_names_imported_between_modules():

@@ -171,6 +171,28 @@ class TestGlobalIdeal:
         assert all(EPSILON not in g.variables() for g in sp.generators)
 
 
+def _loop_weight(v, n):
+    # w(D^(a)_I) = -#{i in I : i + a < n} and w(eps) = 1.
+    if v == EPSILON:
+        return 1
+    _, a, elems = v
+    return -sum(1 for i in elems if i + a < n)
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (1, 5), (2, 4)])
+def test_generators_are_loop_rotation_homogeneous(k, n):
+    # t acting by D -> t^w D and eps -> t eps maps the ideal to itself, so
+    # every fiber at eps != 0 is isomorphic to the one at eps = 1.
+    inhomogeneous = []
+    for J in enumerate_patterns(k, n):
+        for g in global_positroid_ideal(J).generators:
+            weights = {sum(e * _loop_weight(v, n) for v, e in m.exps)
+                       for m in g.terms}
+            if len(weights) != 1:
+                inhomogeneous.append(f"{J}: {poly_to_text(g)}")
+    assert not inhomogeneous, "\n".join(inhomogeneous[:5])
+
+
 class TestMonomialsOfMultidegree:
     def test_counts_are_products_of_multiset_binomials(self):
         for k, n, m in [(1, 3, (2, 0, 1)), (2, 4, (1, 1, 0, 0)),

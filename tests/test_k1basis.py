@@ -156,6 +156,14 @@ class TestVerifyBasis:
         assert set(case["dims"].values()) == {6}
         assert case["evaluation_rank"] == 6
 
+    def test_generic_points_reach_full_rank(self):
+        # Points on a few lines parallel to (1, ..., 1), which a table of
+        # consecutive primes gives, span only 28 of these 35 dimensions.
+        passed, case = verify_basis(constant(5), (3, 0, 0, 0, 0),
+                                    epsilons=(0, 1))
+        assert passed
+        assert case["evaluation_rank"] == case["count"] == 35
+
     def test_failure_reports_witness(self, monkeypatch):
         # The graded dimension equals the admissible count here, so a
         # dimension one too large stands in for a mismatch.
