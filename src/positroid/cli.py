@@ -6,8 +6,10 @@ Exit codes: 0 on pass, 1 on verification failure, 2 on invalid input.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
+import time
 from fractions import Fraction
 
 import click
@@ -69,10 +71,29 @@ def _write(text: str, out) -> None:
         click.echo(text)
 
 
-def _emit(report: VerificationReport, as_json: bool, out, timings: bool):
-    report.include_timings = timings
-    _write(report.to_json() if as_json else report.to_text(), out)
-    sys.exit(0 if report.passed else 1)
+def _reported(verb):
+    """Give a report verb `--json`, `--out` and `--timings`. The verb returns
+    its VerificationReport; this writes it and exits 0 if it passed, else 1.
+    `--timings` adds the wall time of the whole verb to the JSON report."""
+
+    @click.option("--json", "as_json", is_flag=True)
+    @click.option("--out", type=click.Path(), default=None)
+    @click.option("--timings", is_flag=True)
+    @functools.wraps(verb)
+    def run(as_json, out, timings, **params):
+        start = time.monotonic()
+        report = verb(**params)
+        elapsed = time.monotonic() - start if timings else None
+        _write(report.to_json(elapsed) if as_json else report.to_text(), out)
+        sys.exit(0 if report.passed else 1)
+
+    return run
+
+
+def _pattern_report(task: str, J, **parameters) -> VerificationReport:
+    """An empty report on the pattern J, with `parameters` beside J, k, n."""
+    return VerificationReport(
+        task, {"pattern": str(J), "k": J.k, "n": J.n, **parameters})
 
 
 class _Main(click.Group):
@@ -98,16 +119,14 @@ def main():
 @click.argument("n", type=int)
 @click.option("--max-n", default=8, show_default=True,
               help="Enumeration bound on n.")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--timings", is_flag=True)
-def cmd_patterns(k, n, max_n, as_json, out, timings):
+@_reported
+def cmd_patterns(k, n, max_n):
     """Enumerate all (k, n) juggling patterns."""
     pats = enumerate_patterns(k, n, max_n=max_n)
     report = VerificationReport("patterns", {"k": k, "n": n})
     report.add_case("count", True, count=len(pats),
                     patterns=[str(p) for p in pats])
-    _emit(report, as_json, out, timings)
+    return report
 
 
 @main.command("ideal")
@@ -140,24 +159,19 @@ def cmd_ideal(pattern, epsilon, as_json, out):
 @click.option("--multidegree", required=True,
               help="Comma list, e.g. 1,1,0.")
 @click.option("--epsilon-list", default=DEFAULT_EPSILONS, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--timings", is_flag=True)
-def cmd_hilbert(pattern, multidegree, epsilon_list, as_json, out, timings):
+@_reported
+def cmd_hilbert(pattern, multidegree, epsilon_list):
     """Graded component dimensions of the quotient at each epsilon."""
     J = parse_pattern(pattern)
     m = _parse_multidegree(multidegree, J.n)
     epsilons = _parse_epsilons(epsilon_list)
     ideal = global_positroid_ideal(J)
-    report = VerificationReport(
-        "hilbert", {"pattern": str(J), "k": J.k, "n": J.n,
-                    "multidegree": list(m),
-                    "epsilons": [str(e) for e in epsilons]})
-    dims = {}
-    for eps in epsilons:
-        dims[str(eps)] = graded_component_dim(ideal.specialize(eps), m)
+    report = _pattern_report("hilbert", J, multidegree=list(m),
+                             epsilons=[str(e) for e in epsilons])
+    dims = {str(eps): graded_component_dim(ideal.specialize(eps), m)
+            for eps in epsilons}
     report.add_case("dims", len(set(dims.values())) == 1, dims=dims)
-    _emit(report, as_json, out, timings)
+    return report
 
 
 @main.command("flatness")
@@ -169,20 +183,15 @@ def cmd_hilbert(pattern, multidegree, epsilon_list, as_json, out, timings):
 @click.option("--max-degree", type=click.IntRange(min=0), default=2,
               show_default=True, help="Bound on |m|.")
 @click.option("--epsilon-list", default=DEFAULT_EPSILONS, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--timings", is_flag=True)
-def cmd_flatness(k, n, pattern, sweep_all, max_degree, epsilon_list,
-                 as_json, out, timings):
+@_reported
+def cmd_flatness(k, n, pattern, sweep_all, max_degree, epsilon_list):
     """Check graded dimensions are constant in epsilon (and match the
     admissible count for k=1)."""
     epsilons = _parse_epsilons(epsilon_list)
-    if sweep_all:
-        patterns = enumerate_patterns(k, n)
-    elif pattern:
-        patterns = [parse_pattern(pattern)]
-    else:
-        raise click.UsageError("give a pattern or --all")
+    if bool(pattern) == sweep_all:
+        raise click.UsageError("give exactly one of PATTERN and --all")
+    patterns = ([parse_pattern(pattern)] if pattern
+                else enumerate_patterns(k, n))
     report = VerificationReport(
         "flatness", {"k": k, "n": n, "max_degree": max_degree,
                      "epsilons": [str(e) for e in epsilons],
@@ -200,61 +209,51 @@ def cmd_flatness(k, n, pattern, sweep_all, max_degree, epsilon_list,
             except ResourceCapExceeded as exc:
                 report.add_case(key, False, error=str(exc))
                 continue
-            flat = len(set(dims.values())) == 1
+            # Passes when the dimensions (and the k = 1 count) all agree.
             payload = {"dims": dims}
-            ok = flat
+            values = set(dims.values())
             if k == 1:
-                count = k1basis.count_admissible(J, m)
-                payload["count_admissible"] = count
-                ok = flat and all(d == count for d in dims.values())
-            report.add_case(key, ok, **payload)
-    _emit(report, as_json, out, timings)
+                payload["count_admissible"] = k1basis.count_admissible(J, m)
+                values.add(payload["count_admissible"])
+            report.add_case(key, len(values) == 1, **payload)
+    return report
 
 
 @main.command("components")
 @click.argument("pattern")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--timings", is_flag=True)
-def cmd_components(pattern, as_json, out, timings):
+@_reported
+def cmd_components(pattern):
     """Irreducible components of the special fiber, by anchor sets."""
     J = parse_pattern(pattern)
     comps = components_of_special_fiber(J)
-    report = VerificationReport(
-        "components", {"pattern": str(J), "k": J.k, "n": J.n})
+    report = _pattern_report("components", J)
     report.add_case("components", True, count=len(comps),
                     anchors=[list(S.elements) for S in comps])
-    _emit(report, as_json, out, timings)
+    return report
 
 
 @main.command("dim")
 @click.argument("pattern")
 @click.option("--epsilon", default="1", show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--timings", is_flag=True)
-def cmd_dimension(pattern, epsilon, as_json, out, timings):
+@_reported
+def cmd_dimension(pattern, epsilon):
     """Projective dimension of the fiber at epsilon (Krull minus n)."""
     J = parse_pattern(pattern)
     eps = _parse_fraction(epsilon)
     ideal = global_positroid_ideal(J).specialize(eps)
     krull = ideal.groebner().krull_dimension()
-    report = VerificationReport(
-        "dim", {"pattern": str(J), "k": J.k, "n": J.n,
-                "epsilon": str(eps)})
+    report = _pattern_report("dim", J, epsilon=str(eps))
     report.add_case("dimension", True, krull=krull,
                     projective_dimension=krull - J.n)
-    _emit(report, as_json, out, timings)
+    return report
 
 
 @main.command("basis")
 @click.option("--pattern", required=True)
 @click.option("--multidegree", required=True)
 @click.option("--epsilon-list", default=DEFAULT_EPSILONS, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--timings", is_flag=True)
-def cmd_basis(pattern, multidegree, epsilon_list, as_json, out, timings):
+@_reported
+def cmd_basis(pattern, multidegree, epsilon_list):
     """Admissible monomials, counts, dimension table and basis check."""
     J = parse_pattern(pattern)
     if J.k != 1:
@@ -262,12 +261,10 @@ def cmd_basis(pattern, multidegree, epsilon_list, as_json, out, timings):
     m = _parse_multidegree(multidegree, J.n)
     epsilons = _parse_epsilons(epsilon_list)
     passed, case = k1basis.verify_basis(J, m, epsilons=tuple(epsilons))
-    report = VerificationReport(
-        "basis", {"pattern": str(J), "k": J.k, "n": J.n,
-                  "multidegree": list(m),
-                  "epsilons": [str(e) for e in epsilons]})
+    report = _pattern_report("basis", J, multidegree=list(m),
+                             epsilons=[str(e) for e in epsilons])
     report.add_case("basis", passed, **case)
-    _emit(report, as_json, out, timings)
+    return report
 
 
 @main.command("membership")
@@ -276,10 +273,8 @@ def cmd_basis(pattern, multidegree, epsilon_list, as_json, out, timings):
 @click.option("--pattern", required=True)
 @click.option("--epsilon", default=None,
               help="Override the epsilon stored in the point file.")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--timings", is_flag=True)
-def cmd_membership(point_file, pattern, epsilon, as_json, out, timings):
+@_reported
+def cmd_membership(point_file, pattern, epsilon):
     """Check a fiber point (JSON file) for positroid-fiber membership."""
     J = parse_pattern(pattern)
     try:
@@ -290,11 +285,9 @@ def cmd_membership(point_file, pattern, epsilon, as_json, out, timings):
     if epsilon is not None:
         point = FiberPoint(_parse_fraction(epsilon), point.spaces)
     member = in_positroid_fiber(point, J)
-    report = VerificationReport(
-        "membership", {"pattern": str(J), "k": J.k, "n": J.n,
-                       "epsilon": str(point.epsilon)})
+    report = _pattern_report("membership", J, epsilon=str(point.epsilon))
     report.add_case("membership", member, member=member)
-    _emit(report, as_json, out, timings)
+    return report
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ themselves (`plucker_vector`) serve only to evaluate ideal generators."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -27,12 +28,22 @@ class FiberError(ValueError):
 
 
 def _typed(x, kind):
-    # x if it has exactly the type `kind`: the `to_json` form is lists of
-    # lists of "p/q" strings, and Fraction would also read a JSON number or
-    # boolean, and iterating would read a string row "10" as (1, 0).
+    # x if it has exactly the type `kind`: iterating would read a string row
+    # "10" as (1, 0).
     if type(x) is not kind:
         raise TypeError(f"expected a {kind.__name__}, got {x!r}")
     return x
+
+
+# A number in the `to_json` form, "p/q" or "p". Fraction alone would also
+# read a JSON number or boolean, "1e1", "1.5" or " 5 ".
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(x) -> Fraction:
+    if not (match := _RATIONAL.fullmatch(_typed(x, str))):
+        raise ValueError(f"expected p/q, got {x!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 @dataclass(frozen=True)
@@ -103,11 +114,11 @@ class FiberPoint:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FiberPoint":
-        """Read the `to_json` form: every number a string ("p/q"), in
+        """Read the `to_json` form: every number a string, "p/q" or "p", in
         lists at every level. Any other blob raises FiberError."""
         try:
-            eps = Fraction(_typed(data["epsilon"], str))
-            spaces = [[[Fraction(_typed(x, str)) for x in _typed(row, list)]
+            eps = _rational(data["epsilon"])
+            spaces = [[[_rational(x) for x in _typed(row, list)]
                        for row in _typed(rows, list)]
                       for rows in _typed(data["spaces"], list)]
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:

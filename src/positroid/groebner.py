@@ -26,7 +26,6 @@ lcm of their leading monomials l_i, l_j and c_i, c_j their coefficients.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,7 +42,7 @@ class ResourceCapExceeded(RuntimeError):
 # working polynomial of a division, the largest Groebner basis, the largest
 # total degree of a generator or basis element, and the largest graded
 # component `hilbert` builds a matrix for.
-MAX_TERMS = int(os.environ.get("POSITROID_MAX_TERMS", "200000"))
+MAX_TERMS = 200000
 MAX_BASIS_SIZE = 20000
 MAX_TOTAL_DEGREE = 80
 MAX_COMPONENT_MONOMIALS = 200000

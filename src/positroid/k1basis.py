@@ -182,13 +182,13 @@ def verify_basis(J: JugglingPattern, m: tuple[int, ...],
     equals the binomial count and the graded component dimension at every
     epsilon, and the evaluation matrix on count + 3 sampled points at eps=1
     has full rank. Returns (passed, case), case being the `basis` report
-    case: `admissible`, `count`, `binomial`, `dims` (keyed "p/q") and
-    `evaluation_rank`."""
+    case: `admissible`, `count`, `binomial`, `dims` (keyed by `str` of each
+    epsilon, in the order given) and `evaluation_rank`."""
     mons = enumerate_admissible(J, m)
     count = len(mons)
     binomial = expected_count(J, m)
     ideal = ideals.global_positroid_ideal(J)
-    dims = {Fraction(eps): hilbert.graded_component_dim(
+    dims = {str(Fraction(eps)): hilbert.graded_component_dim(
         ideal.specialize(eps), m) for eps in epsilons}
 
     points = sample_points(J, count + 3, eps=1)
@@ -201,8 +201,7 @@ def verify_basis(J: JugglingPattern, m: tuple[int, ...],
         "admissible": [str(mon) for mon in mons],
         "count": count,
         "binomial": binomial,
-        "dims": {f"{e.numerator}/{e.denominator}": d
-                 for e, d in sorted(dims.items())},
+        "dims": dims,
         "evaluation_rank": rank,
     }
     return passed, case

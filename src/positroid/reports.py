@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 SCHEMA = "positroid-report/1"
@@ -14,8 +13,6 @@ class VerificationReport:
     task: str
     parameters: dict
     cases: list[dict] = field(default_factory=list)
-    include_timings: bool = False
-    _start: float = field(default_factory=time.monotonic, repr=False)
 
     def add_case(self, key, passed: bool, **payload):
         case = {"case": key, "pass": bool(passed)}
@@ -26,7 +23,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c["pass"] for c in self.cases)
 
-    def as_dict(self) -> dict:
+    def as_dict(self, elapsed: float | None = None) -> dict:
         out = {
             "schema": SCHEMA,
             "task": self.task,
@@ -34,12 +31,12 @@ class VerificationReport:
             "cases": sorted(self.cases, key=lambda c: str(c["case"])),
             "pass": self.passed,
         }
-        if self.include_timings:
-            out["elapsed_seconds"] = round(time.monotonic() - self._start, 3)
+        if elapsed is not None:
+            out["elapsed_seconds"] = round(elapsed, 3)
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
+    def to_json(self, elapsed: float | None = None) -> str:
+        return json.dumps(self.as_dict(elapsed), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         lines = [f"task: {self.task}"]

@@ -1,13 +1,15 @@
 """Tests for the command-line interface: verbs, formats, exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from positroid import groebner, k1basis
+from positroid import cli, groebner, k1basis
 from positroid.cli import main
 from positroid.fibers import torus_fixed_point
+from positroid.groebner import GroebnerBasis
 from positroid.patterns import AnchorSet
 from positroid.poly import parse_polynomials, poly_from_json
 from positroid.reports import VerificationReport
@@ -38,6 +40,12 @@ BAD_POINTS = {
     "row-as-string": {**GOOD_POINT,
                       "spaces": [[["0", "0", "1"]], ["010"],
                                  [["1", "0", "0"]]]},
+    # Fraction reads these, but `to_json` writes only "p/q".
+    "epsilon-1e0": {**GOOD_POINT, "epsilon": "1e0"},
+    **{f"entry-{x.strip()}": {**GOOD_POINT,
+                              "spaces": [[["0", "0", x]], [["0", "1", "0"]],
+                                         [["1", "0", "0"]]]}
+       for x in (" 0.5e1 ", "1.5", "1e1")},
 }
 
 
@@ -156,6 +164,13 @@ class TestBasis:
         assert case["count"] == 6
         assert "D0_1*D1_1" in case["admissible"]
 
+    def test_dims_keyed_like_epsilons(self):
+        res = run("basis", "--pattern", "1,1,1", "--multidegree", "1,1,0",
+                  "--epsilon-list", "0,2,-1/2", "--json")
+        blob = json.loads(res.output)
+        assert (sorted(blob["cases"][0]["dims"])
+                == sorted(blob["parameters"]["epsilons"]))
+
     def test_k2_rejected(self):
         res = run("basis", "--pattern", "12|12|12|12",
                   "--multidegree", "1,0,0,0")
@@ -209,6 +224,7 @@ class TestInvalidInput:
         ("flatness", "1", "9", "--all"),
         ("flatness", "0", "3", "--all"),
         ("flatness", "1", "3", "--all", "--max-degree", "-1"),
+        ("flatness", "1", "3", "1,1,2", "--all"),
         ("hilbert", "1,1,2", "--multidegree", "20,20,20"),
         ("basis", "--pattern", "1,1,2", "--multidegree", "20,20,20"),
         *(("membership", "--point", f"POINT:{name}", "--pattern", "1,1,1")
@@ -269,6 +285,28 @@ class TestDeterminism:
                   "--timings")
         blob = json.loads(res.output)
         assert "elapsed_seconds" in blob
+
+    @pytest.mark.parametrize("args, owner, work", [
+        (("basis", "--pattern", "1,1,1", "--multidegree", "1,1,0"),
+         k1basis, "verify_basis"),
+        (("dim", "12|12|12|13"), GroebnerBasis, "krull_dimension"),
+    ], ids=["basis", "dim"])
+    def test_timings_cover_the_work(self, monkeypatch, args, owner, work):
+        # On a clock that only the verb's work advances, the elapsed time is
+        # that advance, so the clock must run around the work.
+        now = [100.0]
+        done = getattr(owner, work)
+
+        def slow(*a, **kw):
+            now[0] += 2.5
+            return done(*a, **kw)
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(
+            monotonic=lambda: now[0]))
+        monkeypatch.setattr(owner, work, slow)
+        res = run(*args, "--json", "--timings")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["elapsed_seconds"] == 2.5
 
     def test_out_writes_file(self, tmp_path):
         path = tmp_path / "report.json"

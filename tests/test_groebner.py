@@ -1,10 +1,6 @@
 """Tests for Buchberger, normal forms, and Krull dimension."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,18 +97,6 @@ class TestResourceCaps:
         monkeypatch.setattr(groebner, "MAX_TOTAL_DEGREE", 1)
         with pytest.raises(ResourceCapExceeded):
             buchberger(gens, vars_)
-
-    def test_env_var_controls_default_term_cap(self):
-        # The limit is read once, at import, so a fresh interpreter checks it.
-        src = Path(groebner.__file__).resolve().parent.parent
-        env = {**os.environ, "POSITROID_MAX_TERMS": "2",
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from positroid import groebner; print(groebner.MAX_TERMS)"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "2"
 
 
 class TestKrullDimension:
