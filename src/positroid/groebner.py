@@ -297,14 +297,32 @@ def plucker_universe(k: int, n: int, colors: list[int] | None = None,
 
 @dataclass
 class Ideal:
-    """An ideal in the colored Pluecker ring, optionally with epsilon."""
+    """An ideal in the colored Pluecker ring, optionally with epsilon.
+
+    A generator that is a single term of degree 1 puts its variable in
+    `vanishing`: the variable is zero on every fiber. Construction drops
+    the terms in a vanishing variable from every other generator, which
+    leaves the ideal unchanged, and dedups the result (`poly.dedup`).
+    Callers pass raw generator families and rely on this normal form.
+    """
 
     k: int
     n: int
     generators: tuple[Polynomial, ...]
     has_epsilon: bool = True
+    vanishing: frozenset[Var] = field(init=False, compare=False)
     _groebner: GroebnerBasis | None = field(default=None, repr=False,
                                             compare=False)
+
+    def __post_init__(self):
+        linear = [len(g.terms) == 1 and g.total_degree() == 1
+                  for g in self.generators]
+        self.vanishing = frozenset(
+            v for g, lin in zip(self.generators, linear) if lin
+            for v in g.variables())
+        self.generators = tuple(dedup(
+            g if lin else g.without(self.vanishing)
+            for g, lin in zip(self.generators, linear)))
 
     @property
     def universe(self) -> tuple[Var, ...]:
@@ -317,7 +335,7 @@ class Ideal:
         return self._groebner
 
     def specialize(self, value) -> "Ideal":
-        """Substitute epsilon by a rational constant, dropping generators
-        that vanish or repeat."""
-        gens = dedup(g.substitute_epsilon(value) for g in self.generators)
-        return Ideal(self.k, self.n, tuple(gens), has_epsilon=False)
+        """Substitute epsilon by a rational constant."""
+        return Ideal(self.k, self.n, tuple(g.substitute_epsilon(value)
+                                           for g in self.generators),
+                     has_epsilon=False)

@@ -1,11 +1,10 @@
 """Multigraded component dimensions of quotient rings via exact rank.
 
-A specialized ideal I of the colored Pluecker ring S contains some
-variables as generators of their own (one term of degree 1): the Schubert
-vanishing monomials of `ideals`. With Z the set of those variables and I'
-the other generators, S/(Z + I') is isomorphic to S'/(I' mod Z), where S'
-is the ring in the variables outside Z and I' mod Z drops every term that
-contains a variable of Z. So the graded components are computed over S'.
+A specialized ideal I of the colored Pluecker ring S is in the normal form
+of `groebner.Ideal`: its generators are the variables of `I.vanishing`
+(the set Z) and others I' with no term in Z. So S/I = S/(Z + I') is
+isomorphic to S'/I', where S' is the ring in the variables outside Z, and
+the graded components are computed over S'.
 """
 
 from __future__ import annotations
@@ -47,21 +46,16 @@ def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
 def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     """Dimension of the multidegree-m component of the quotient ring.
 
-    Requires a specialized (epsilon-free) ideal. Z is read from the
-    ideal's own generators: the variables of those that are a single term
-    of degree 1. No other generator needs its terms in Z removed
-    beforehand. As S/(Z + I') = S'/(I' mod Z), the dimension is the count
-    of multidegree-m monomials in the variables outside Z minus the exact
-    rank of the span of the products of every other generator, with its
-    terms in Z dropped, by the monomials of S' of the complementary
-    multidegree.
+    Requires a specialized (epsilon-free) ideal. As S/I = S'/I', the
+    dimension is the count of multidegree-m monomials outside
+    `ideal.vanishing` minus the exact rank of the span of the products of
+    every generator that is not a vanishing variable by the monomials of
+    S' of the complementary multidegree.
     """
     if ideal.has_epsilon:
         raise ValueError("specialize epsilon before computing graded "
                          "component dimensions")
-    k, n = ideal.k, ideal.n
-    zero = {v for g in ideal.generators if len(g.terms) == 1
-            for mono in g.terms if mono.degree == 1 for v, _ in mono.exps}
+    k, n, zero = ideal.k, ideal.n, ideal.vanishing
     basis = monomials_of_multidegree(k, n, m, zero)
     index = {mono: i for i, mono in enumerate(basis)}
     cofactors: dict[tuple[int, ...], list[Monomial]] = {}
@@ -71,17 +65,13 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
         if d is None:
             raise ValueError(f"generator is not multihomogeneous: {g!r}")
         diff = tuple(mb - db for mb, db in zip(m, d))
-        if any(x < 0 for x in diff):
-            continue
-        terms = [(mono, c) for mono, c in g.terms.items()
-                 if not any(v in zero for v, _ in mono.exps)]
-        if not terms:
+        if any(x < 0 for x in diff) or not zero.isdisjoint(g.variables()):
             continue
         if diff not in cofactors:
             cofactors[diff] = monomials_of_multidegree(k, n, diff, zero)
         for mu in cofactors[diff]:
             row = [0] * len(basis)
-            for mono, c in terms:
+            for mono, c in g.terms.items():
                 row[index[mono * mu]] = c
             rows.append(row)
     return len(basis) - linalg.rank(rows)

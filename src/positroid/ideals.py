@@ -1,8 +1,10 @@
-"""Generators of the global positroid ideal and its specializations.
+"""Generators of the global positroid ideal.
 
 Three families: classical Pluecker quadrics per color, linear Schubert
 vanishing monomials per vertex closed under the shifts of the quiver map,
-and the epsilon-twisted shift relations connecting the colors.
+and the epsilon-twisted shift relations connecting the colors. Each family
+is built on its own; `groebner.Ideal` drops the terms in the vanishing
+variables from the others.
 """
 
 from __future__ import annotations
@@ -34,46 +36,25 @@ def classical_plucker_generators(k: int, n: int, a: int) -> list[Polynomial]:
 
 
 def schubert_vanishing_generators(J: JugglingPattern) -> list[Polynomial]:
-    """Linear monomials Delta^(a)_I for every color a and every I that is
-    not componentwise >= J_a."""
-    gens = []
-    for a, Ja in enumerate(J.entries):
-        for I in all_subsets(J.k, J.n):
-            if not Ja.leq(I):
-                gens.append(Polynomial.plucker(a, I.elements))
-    return gens
-
-
-def shifted_schubert_vanishing_generators(
-        J: JugglingPattern) -> list[Polynomial]:
     """Linear monomials Delta^(a)_I for every color a and every I with
-    J_(a+c) not <= I - c for some shift c in [1, n).
+    J_(a+c) not <= I - c for some shift c in [0, n).
 
-    The shift relation of (a, c, I, I') is Delta^(a)_I Delta^(a+c)_I' =
+    Shift c = 0 is the Schubert condition of J_a on I. For c >= 1, the
+    shift relation of (a, c, I, I') is Delta^(a)_I Delta^(a+c)_I' =
     eps^d Delta^(a)_(I'+c) Delta^(a+c)_(I-c), with the epsilon power on
     either side. When Delta^(a+c)_(I-c) is a Schubert vanishing monomial,
     it puts a power of epsilon times Delta^(a)_I Delta^(a+c)_I' in the
     ideal for every I', so Delta^(a)_I lies in the saturation with respect
     to epsilon and the color-(a+c) variables: it vanishes on every fiber.
     Shifts compose modulo n, so this one step closes the vanishing under
-    the relations. For k = 1 the shift c = i - 1 (c = 0 when i = 1, the
-    unshifted case) gives exactly the ones-locus condition of
-    `k1basis.is_admissible`.
+    the relations. For k = 1 the shift c = i - 1 gives exactly the
+    ones-locus condition of `k1basis.is_admissible`.
     """
     n = J.n
-    gens = []
-    for a in range(n):
-        for I in all_subsets(J.k, n):
+    return [Polynomial.plucker(a, I.elements)
+            for a in range(n) for I in all_subsets(J.k, n)
             if any(not J.entries[(a + c) % n].leq(I.shift(c))
-                   for c in range(1, n)):
-                gens.append(Polynomial.plucker(a, I.elements))
-    return gens
-
-
-def _drop_terms(p: Polynomial, zero: set) -> Polynomial:
-    """p without the terms that contain a variable of `zero`."""
-    return Polynomial({m: c for m, c in p.terms.items()
-                       if not any(v in zero for v, _ in m.exps)})
+                   for c in range(n))]
 
 
 def epsilon_relations(k: int, n: int) -> list[Polynomial]:
@@ -122,21 +103,13 @@ def global_positroid_ideal(J: JugglingPattern) -> Ideal:
     """The ideal generated by the classical quadrics of every color, the
     shift-closed Schubert vanishing monomials of J, and the shift relations.
 
-    The vanishing monomials are those of `schubert_vanishing_generators`
-    (shift c = 0) and of `shifted_schubert_vanishing_generators` (c in
-    [1, n)). The latter lie in the saturation of the ideal generated by the
-    former and the relations, with respect to epsilon and the product of
-    the color irrelevant ideals; without them that ideal carries torsion at
-    multidegrees with a zero entry, so its graded dimensions there describe
-    no property of the fibers. Every term that contains a vanishing
-    variable is dropped from the quadrics and the relations, which leaves
-    the ideal unchanged with fewer terms.
+    The vanishing monomials with a shift c >= 1 lie in the saturation of
+    the ideal generated by the unshifted ones and the relations, with
+    respect to epsilon and the product of the color irrelevant ideals;
+    without them that ideal carries torsion at multidegrees with a zero
+    entry, so its graded dimensions there describe no property of the
+    fibers. `Ideal` drops their variables from the quadrics and relations.
     """
-    linear = dedup(schubert_vanishing_generators(J) +
-                   shifted_schubert_vanishing_generators(J))
-    zero = {v for g in linear for v in g.variables()}
     quadrics, relations = _pattern_free_generators(J.k, J.n)
-    gens = [_drop_terms(g, zero) for g in quadrics]
-    gens.extend(linear)
-    gens.extend(_drop_terms(g, zero) for g in relations)
-    return Ideal(J.k, J.n, tuple(dedup(gens)), has_epsilon=True)
+    return Ideal(J.k, J.n, quadrics + tuple(schubert_vanishing_generators(J))
+                 + relations)

@@ -177,7 +177,7 @@ def sample_points(J: JugglingPattern, count: int, eps=1) -> list[FiberPoint]:
 
 
 def verify_basis(J: JugglingPattern, m: tuple[int, ...],
-                 epsilons=(0, 1, 2, -1)) -> tuple[bool, dict]:
+                 epsilons) -> tuple[bool, dict]:
     """Check the basis property in multidegree m: the admissible count
     equals the binomial count and the graded component dimension at every
     epsilon, and the evaluation matrix on count + 3 sampled points at eps=1

@@ -107,15 +107,6 @@ class JugglingPattern:
             raise PatternError("patterns must share the same k and n")
         return all(I.leq(J) for I, J in zip(self.entries, other.entries))
 
-    def to_json(self) -> dict:
-        return {"k": self.k, "n": self.n,
-                "entries": [list(J.elements) for J in self.entries]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "JugglingPattern":
-        entries = tuple(KSubset(data["n"], tuple(e)) for e in data["entries"])
-        return cls(data["k"], data["n"], entries)
-
     def __str__(self):
         if self.k == 1:
             return ",".join(str(J.elements[0]) for J in self.entries)

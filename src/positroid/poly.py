@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 EPSILON = ("e",)
 
@@ -173,6 +173,11 @@ class Polynomial:
 
     def variables(self) -> set[Var]:
         return {v for m in self.terms for v, _ in m.exps}
+
+    def without(self, variables: AbstractSet[Var]) -> "Polynomial":
+        """The terms that contain no variable of `variables`."""
+        return Polynomial._of({m: c for m, c in self.terms.items()
+                               if variables.isdisjoint(v for v, _ in m.exps)})
 
     def total_degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)

@@ -38,7 +38,7 @@ class VerificationReport:
     def to_json(self, elapsed: float | None = None) -> str:
         return json.dumps(self.as_dict(elapsed), sort_keys=True, indent=2)
 
-    def to_text(self) -> str:
+    def to_text(self, elapsed: float | None = None) -> str:
         lines = [f"task: {self.task}"]
         for k, v in sorted(self.parameters.items()):
             lines.append(f"  {k}: {v}")
@@ -48,4 +48,6 @@ class VerificationReport:
             detail = " ".join(f"{k}={v}" for k, v in sorted(extra.items()))
             lines.append(f"[{status}] {c['case']} {detail}".rstrip())
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
+        if elapsed is not None:
+            lines.append(f"elapsed_seconds: {round(elapsed, 3)}")
         return "\n".join(lines)

@@ -93,12 +93,20 @@ class TestIdeal:
 
 class TestHilbert:
     def test_reports_dims_per_epsilon(self):
-        res = run("hilbert", "1,1,1", "--multidegree", "1,1,0", "--json")
+        res = run("hilbert", "1,1,1", "--multidegree", "1,1,0",
+                  "--epsilon-list", "0,1,2,-1", "--json")
         assert res.exit_code == 0
         blob = json.loads(res.output)
         dims = blob["cases"][0]["dims"]
         assert set(dims.values()) == {6}
         assert set(dims) == {"0", "1", "2", "-1"}
+
+    def test_default_epsilons_are_zero_and_one(self):
+        res = run("hilbert", "1,1,1", "--multidegree", "1,1,0", "--json")
+        assert res.exit_code == 0
+        blob = json.loads(res.output)
+        assert blob["parameters"]["epsilons"] == ["0", "1"]
+        assert list(blob["cases"][0]["dims"]) == ["0", "1"]
 
     def test_bad_multidegree_exits_2(self):
         assert run("hilbert", "1,1,1",
@@ -285,6 +293,16 @@ class TestDeterminism:
                   "--timings")
         blob = json.loads(res.output)
         assert "elapsed_seconds" in blob
+
+    def test_timings_flag_adds_them_to_text(self, monkeypatch):
+        # The text report gains one last line; the rest stays as it is.
+        plain = run("dim", "1,1,2").output
+        ticks = iter([100.0, 102.5])
+        monkeypatch.setattr(cli, "time", SimpleNamespace(
+            monotonic=lambda: next(ticks)))
+        timed = run("dim", "1,1,2", "--timings")
+        assert timed.exit_code == 0
+        assert timed.output == plain + "elapsed_seconds: 2.5\n"
 
     @pytest.mark.parametrize("args, owner, work", [
         (("basis", "--pattern", "1,1,1", "--multidegree", "1,1,0"),

@@ -15,10 +15,9 @@ from positroid.ideals import (
     epsilon_relations,
     global_positroid_ideal,
     schubert_vanishing_generators,
-    shifted_schubert_vanishing_generators,
 )
 from positroid.patterns import enumerate_patterns
-from positroid.poly import Polynomial, dedup
+from positroid.poly import Polynomial
 
 EPSILONS = (Fraction(0), Fraction(1), Fraction(-2, 3))
 
@@ -33,17 +32,19 @@ def multidegrees(n, top):
             if 1 <= sum(m) <= top]
 
 
-def full_ring_dim(ideal, m):
-    """The component dimension in the full ring: one dense row per
-    generator and cofactor monomial, one column per monomial."""
-    basis = monomials_of_multidegree(ideal.k, ideal.n, m)
+def full_ring_dim(k, n, generators, m):
+    """The component dimension of S/(generators) in the full ring: one
+    dense row per generator and cofactor monomial, one column per
+    monomial. It takes the generators as given, not the normal form of
+    `Ideal`, so it checks that form rather than repeating it."""
+    basis = monomials_of_multidegree(k, n, m)
     index = {mono: i for i, mono in enumerate(basis)}
     rows = []
-    for g in ideal.generators:
-        diff = tuple(mb - db for mb, db in zip(m, g.multidegree(ideal.n)))
+    for g in generators:
+        diff = tuple(mb - db for mb, db in zip(m, g.multidegree(n)))
         if any(x < 0 for x in diff):
             continue
-        for mu in monomials_of_multidegree(ideal.k, ideal.n, diff):
+        for mu in monomials_of_multidegree(k, n, diff):
             row = [0] * len(basis)
             for mono, c in g.terms.items():
                 row[index[mono * mu]] = c
@@ -58,40 +59,40 @@ def quadrics_and_relations(k, n):
             + epsilon_relations(k, n))
 
 
-def unreduced_ideal(J):
+def raw_generators(J):
     """The generator families of `global_positroid_ideal`, with no term
     of the quadrics or the relations dropped."""
-    gens = quadrics_and_relations(J.k, J.n) + schubert_vanishing_generators(J)
-    gens += shifted_schubert_vanishing_generators(J)
-    return Ideal(J.k, J.n, tuple(dedup(gens)), has_epsilon=True)
+    return quadrics_and_relations(J.k, J.n) + schubert_vanishing_generators(J)
 
 
-def assert_matches_full_ring(J, ideal):
+def assert_matches_full_ring(J, generators):
+    ideal = Ideal(J.k, J.n, tuple(generators))
     for eps in EPSILONS:
         spec = ideal.specialize(eps)
+        raw = [g.substitute_epsilon(eps) for g in generators]
         for m in multidegrees(J.n, 2):
-            assert graded_component_dim(spec, m) == full_ring_dim(spec, m), \
-                (str(J), eps, m)
+            assert graded_component_dim(spec, m) == \
+                full_ring_dim(J.k, J.n, raw, m), (str(J), eps, m)
 
 
 class TestQuotientByVanishingVariables:
     @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
     def test_global_ideals_match_full_ring(self, k, n):
         for J in enumerate_patterns(k, n):
-            assert_matches_full_ring(J, global_positroid_ideal(J))
+            assert_matches_full_ring(J, global_positroid_ideal(J).generators)
 
     @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
     def test_terms_in_vanishing_variables_are_dropped(self, k, n):
         # The quadrics and relations still carry terms in the vanishing
-        # variables here; the reduction must drop them itself.
+        # variables here; the normal form of Ideal must drop them itself.
         carried = 0
         for J in enumerate_patterns(k, n):
-            ideal = unreduced_ideal(J)
-            zero = {v for g in ideal.generators if len(g.terms) == 1
+            gens = raw_generators(J)
+            zero = {v for g in gens if len(g.terms) == 1
                     for v in g.variables()}
-            carried += any(v in zero for g in ideal.generators
+            carried += any(v in zero for g in gens
                            if len(g.terms) > 1 for v in g.variables())
-            assert_matches_full_ring(J, ideal)
+            assert_matches_full_ring(J, gens)
         assert carried
 
     def test_only_single_variable_generators_vanish(self):
@@ -101,8 +102,28 @@ class TestQuotientByVanishingVariables:
         gens = (D(0, 1) - D(0, 2), D(1, 3).scale(3), D(0, 1) * D(1, 3),
                 D(0, 2) * D(1, 3) - D(0, 3) * D(1, 1))
         ideal = Ideal(1, 3, gens, has_epsilon=False)
+        assert ideal.vanishing == {("D", 1, (3,))}
         for m in multidegrees(3, 3):
-            assert graded_component_dim(ideal, m) == full_ring_dim(ideal, m)
+            assert graded_component_dim(ideal, m) == \
+                full_ring_dim(1, 3, gens, m)
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
+    def test_vanishing_set_and_term_drop(self, k, n):
+        for J in enumerate_patterns(k, n):
+            gens = raw_generators(J)
+            ideal = Ideal(k, n, tuple(gens))
+            linear = {v for g in gens if g.total_degree() == 1
+                      for v in g.variables()}
+            assert ideal.vanishing == linear, str(J)
+            # Only the vanishing variables themselves still mention one.
+            mentioning = {g for g in ideal.generators
+                          if not linear.isdisjoint(g.variables())}
+            assert mentioning == {Polynomial.variable(v) for v in linear}, \
+                str(J)
+            for eps in (0, 1):
+                assert ideal.specialize(eps).vanishing == linear, (str(J), eps)
 
 
 class TestExcludedVariables:

@@ -52,10 +52,13 @@ class TestSchubertGenerators:
         assert schubert_vanishing_generators(constant_pattern(2, 4)) == []
 
     def test_k1_vanishing_variables(self):
+        # Shift 0 gives D1_1, D1_2 and D2_1; the shifts 1 and 2 add D0_2,
+        # D0_3 and D2_3, every D_(b,i) with b + i - 1 outside the ones
+        # locus {0}.
         J = P(1, 3, (1,), (3,), (2,))
         gens = schubert_vanishing_generators(J)
-        expected = {poly_to_text(D(1, 1)), poly_to_text(D(1, 2)),
-                    poly_to_text(D(2, 1))}
+        expected = {poly_to_text(D(b, i)) for b, i in
+                    [(0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (2, 3)]}
         assert {poly_to_text(g) for g in gens} == expected
 
 

@@ -149,7 +149,8 @@ class TestSampling:
 
 class TestVerifyBasis:
     def test_constant_pattern_passes(self):
-        passed, case = verify_basis(constant(3), (1, 1, 0))
+        passed, case = verify_basis(constant(3), (1, 1, 0),
+                                    epsilons=(0, 1, 2, -1))
         assert passed
         assert case["count"] == 6
         assert case["binomial"] == 6
@@ -170,7 +171,8 @@ class TestVerifyBasis:
         dim = hilbert.graded_component_dim
         monkeypatch.setattr(hilbert, "graded_component_dim",
                             lambda ideal, m: dim(ideal, m) + 1)
-        passed, case = verify_basis(P(1, 3, (3,), (2,), (1,)), (0, 0, 1))
+        passed, case = verify_basis(P(1, 3, (3,), (2,), (1,)), (0, 0, 1),
+                                    epsilons=(0, 1, 2, -1))
         # The failing case is the witness: it carries count and dims.
         assert not passed
         assert case["count"] == 1

@@ -106,10 +106,6 @@ class TestJugglingPattern:
         assert str(P(1, 3, (1,), (3,), (2,))) == "1,3,2"
         assert str(P(2, 4, (1, 2), (1, 3), (2, 3), (1, 2))) == "12|13|23|12"
 
-    def test_json_roundtrip(self):
-        J = P(2, 4, (1, 2), (1, 3), (2, 3), (1, 2))
-        assert JugglingPattern.from_json(J.to_json()) == J
-
 
 class TestParsePattern:
     def test_single_digit_form(self):
