@@ -21,7 +21,7 @@ from .hilbert import graded_component_dim
 from .ideals import global_positroid_ideal
 from .patterns import (PatternError, components_of_special_fiber,
                        enumerate_patterns, parse_pattern)
-from .poly import poly_to_json, polys_to_text
+from .poly import parse_rational, poly_to_json, polys_to_text
 from .reports import SCHEMA, VerificationReport
 
 # Every fiber at eps != 0 is isomorphic to the one at eps = 1, because the
@@ -32,13 +32,14 @@ DEFAULT_EPSILONS = "0,1"
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"bad rational number {text!r}: {exc}")
+        return parse_rational(text)
+    except ValueError as exc:
+        raise click.UsageError(f"bad rational number: {exc}")
 
 
 def _parse_epsilons(text: str) -> list[Fraction]:
-    epsilons = [_parse_fraction(x) for x in text.split(",") if x.strip()]
+    epsilons = [_parse_fraction(x) for x in map(str.strip, text.split(","))
+                if x]
     if not epsilons:
         raise click.UsageError(f"empty epsilon list {text!r}")
     return epsilons
@@ -121,12 +122,10 @@ def main():
 @main.command("patterns")
 @click.argument("k", type=int)
 @click.argument("n", type=int)
-@click.option("--max-n", default=8, show_default=True,
-              help="Enumeration bound on n.")
 @_reported
-def cmd_patterns(k, n, max_n):
+def cmd_patterns(k, n):
     """Enumerate all (k, n) juggling patterns."""
-    pats = enumerate_patterns(k, n, max_n=max_n)
+    pats = enumerate_patterns(k, n)
     report = VerificationReport("patterns", {"k": k, "n": n})
     report.add_case("count", True, count=len(pats),
                     patterns=[str(p) for p in pats])
@@ -143,7 +142,9 @@ def cmd_ideal(pattern, epsilon, as_json, out):
     J = parse_pattern(pattern)
     ideal = global_positroid_ideal(J)
     if epsilon is not None:
-        ideal = ideal.specialize(_parse_fraction(epsilon))
+        eps = _parse_fraction(epsilon)
+        ideal = ideal.specialize(eps)
+        epsilon = str(eps)
     if as_json:
         payload = {
             "schema": SCHEMA,

@@ -11,7 +11,6 @@ themselves (`plucker_vector`) serve only to evaluate ideal generators."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 from .patterns import (AnchorSet, JugglingPattern, KSubset,
                        pattern_from_anchor, rotate)
-from .poly import EPSILON, Var
+from .poly import EPSILON, Var, parse_rational
 
 
 class FiberError(ValueError):
@@ -33,17 +32,6 @@ def _typed(x, kind):
     if type(x) is not kind:
         raise TypeError(f"expected a {kind.__name__}, got {x!r}")
     return x
-
-
-# A number in the `to_json` form, "p/q" or "p". Fraction alone would also
-# read a JSON number or boolean, "1e1", "1.5" or " 5 ".
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _rational(x) -> Fraction:
-    if not (match := _RATIONAL.fullmatch(_typed(x, str))):
-        raise ValueError(f"expected p/q, got {x!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 @dataclass(frozen=True)
@@ -117,8 +105,8 @@ class FiberPoint:
         """Read the `to_json` form: every number a string, "p/q" or "p", in
         lists at every level. Any other blob raises FiberError."""
         try:
-            eps = _rational(data["epsilon"])
-            spaces = [[[_rational(x) for x in _typed(row, list)]
+            eps = parse_rational(data["epsilon"])
+            spaces = [[[parse_rational(x) for x in _typed(row, list)]
                        for row in _typed(rows, list)]
                       for rows in _typed(data["spaces"], list)]
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:

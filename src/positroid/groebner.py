@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .patterns import all_subsets
 from .poly import (EPSILON, Monomial, Polynomial, Var, dedup, grlex_key,
@@ -295,15 +296,20 @@ def plucker_universe(k: int, n: int, colors: list[int] | None = None,
     return tuple(vs)
 
 
+def _is_linear(g: Polynomial) -> bool:
+    # A single term of degree 1: its variable is zero on every fiber.
+    return len(g.terms) == 1 and g.total_degree() == 1
+
+
 @dataclass
 class Ideal:
     """An ideal in the colored Pluecker ring, optionally with epsilon.
 
     A generator that is a single term of degree 1 puts its variable in
     `vanishing`: the variable is zero on every fiber. Construction drops
-    the terms in a vanishing variable from every other generator, which
-    leaves the ideal unchanged, and dedups the result (`poly.dedup`).
-    Callers pass raw generator families and rely on this normal form.
+    the terms in a vanishing variable from every other generator and dedups
+    the result (`poly.dedup`), until no new variable vanishes. Callers pass
+    raw generator families and rely on this normal form.
     """
 
     k: int
@@ -311,28 +317,34 @@ class Ideal:
     generators: tuple[Polynomial, ...]
     has_epsilon: bool = True
     vanishing: frozenset[Var] = field(init=False, compare=False)
-    _groebner: GroebnerBasis | None = field(default=None, repr=False,
-                                            compare=False)
 
     def __post_init__(self):
-        linear = [len(g.terms) == 1 and g.total_degree() == 1
-                  for g in self.generators]
-        self.vanishing = frozenset(
-            v for g, lin in zip(self.generators, linear) if lin
-            for v in g.variables())
-        self.generators = tuple(dedup(
-            g if lin else g.without(self.vanishing)
-            for g, lin in zip(self.generators, linear)))
+        self.vanishing = None
+        while self.vanishing != (zero := frozenset(
+                v for g in self.generators if _is_linear(g)
+                for v in g.variables())):
+            self.vanishing = zero
+            self.generators = tuple(dedup(
+                g if _is_linear(g) else g.without(zero)
+                for g in self.generators))
 
-    @property
-    def universe(self) -> tuple[Var, ...]:
-        return plucker_universe(self.k, self.n,
-                                with_epsilon=self.has_epsilon)
+    @cached_property
+    def by_multidegree(self) -> tuple:
+        """Read-only (multidegree, generators) groups of the generators that
+        are not vanishing variables; ValueError if one is inhomogeneous."""
+        groups: dict[tuple[int, ...], list[Polynomial]] = {}
+        for g in self.generators:
+            if _is_linear(g):
+                continue
+            d = g.multidegree(self.n)
+            if d is None:
+                raise ValueError(f"generator is not multihomogeneous: {g!r}")
+            groups.setdefault(d, []).append(g)
+        return tuple((d, tuple(gs)) for d, gs in groups.items())
 
     def groebner(self) -> GroebnerBasis:
-        if self._groebner is None:
-            self._groebner = buchberger(list(self.generators), self.universe)
-        return self._groebner
+        return buchberger(list(self.generators), plucker_universe(
+            self.k, self.n, with_epsilon=self.has_epsilon))
 
     def specialize(self, value) -> "Ideal":
         """Substitute epsilon by a rational constant."""

@@ -49,8 +49,8 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     Requires a specialized (epsilon-free) ideal. As S/I = S'/I', the
     dimension is the count of multidegree-m monomials outside
     `ideal.vanishing` minus the exact rank of the span of the products of
-    every generator that is not a vanishing variable by the monomials of
-    S' of the complementary multidegree.
+    each group of `ideal.by_multidegree` by the monomials of S' of the
+    complementary multidegree.
     """
     if ideal.has_epsilon:
         raise ValueError("specialize epsilon before computing graded "
@@ -58,18 +58,13 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     k, n, zero = ideal.k, ideal.n, ideal.vanishing
     basis = monomials_of_multidegree(k, n, m, zero)
     index = {mono: i for i, mono in enumerate(basis)}
-    cofactors: dict[tuple[int, ...], list[Monomial]] = {}
     rows = []
-    for g in ideal.generators:
-        d = g.multidegree(n)
-        if d is None:
-            raise ValueError(f"generator is not multihomogeneous: {g!r}")
+    for d, gens in ideal.by_multidegree:
         diff = tuple(mb - db for mb, db in zip(m, d))
-        if any(x < 0 for x in diff) or not zero.isdisjoint(g.variables()):
+        if any(x < 0 for x in diff):
             continue
-        if diff not in cofactors:
-            cofactors[diff] = monomials_of_multidegree(k, n, diff, zero)
-        for mu in cofactors[diff]:
+        cofactors = monomials_of_multidegree(k, n, diff, zero)
+        for g, mu in product(gens, cofactors):
             row = [0] * len(basis)
             for mono, c in g.terms.items():
                 row[index[mono * mu]] = c

@@ -333,19 +333,22 @@ def poly_to_text(p: Polynomial) -> str:
     return out
 
 
-_COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
+# "p/q" or "p" in ASCII digits, q not zero: the one form of a rational number.
+# Fraction would also read "1e0", "0.5", "+1", " 5 " and non-ASCII digits.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational number `text`, "p/q" or "p"; ValueError otherwise."""
+    if not (match := _RATIONAL.fullmatch(text)):
+        raise ValueError(f"expected p/q, got {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    text = text.strip()
-    if text in ("0", ""):
-        return Polynomial.zero()
     # normalize "a - b" into explicit signed chunks
-    chunks = re.split(r"\s*([+-])\s*", text)
-    if chunks[0] == "":
-        chunks = chunks[1:]
-    else:
-        chunks = ["+"] + chunks if chunks[0] not in "+-" else chunks
+    chunks = re.split(r"\s*([+-])\s*", text.strip())
+    chunks = chunks[1:] if chunks[0] == "" else ["+"] + chunks
     terms: dict[Monomial, Fraction] = {}
     for i in range(0, len(chunks), 2):
         sign = -1 if chunks[i] == "-" else 1
@@ -354,11 +357,11 @@ def parse_polynomial(text: str) -> Polynomial:
         exps: dict[Var, int] = {}
         for tok in body.split("*"):
             tok = tok.strip()
-            if _COEFF_RE.match(tok):
-                coeff *= Fraction(tok)
-            else:
+            if tok.startswith(("D", "e")):
                 v, e = _parse_factor(tok)
                 exps[v] = exps.get(v, 0) + e
+            else:
+                coeff *= parse_rational(tok)
         m = Monomial(exps.items())
         terms[m] = terms.get(m, Fraction(0)) + coeff
     return Polynomial(terms)
@@ -380,7 +383,7 @@ def poly_from_json(data: list[dict]) -> Polynomial:
             v, extra = _parse_factor(name)
             exps[v] = exps.get(v, 0) + e * extra
         m = Monomial(exps.items())
-        terms[m] = terms.get(m, Fraction(0)) + Fraction(term["coeff"])
+        terms[m] = terms.get(m, Fraction(0)) + parse_rational(term["coeff"])
     return Polynomial(terms)
 
 

@@ -10,8 +10,9 @@ from positroid import cli, groebner, k1basis
 from positroid.cli import main
 from positroid.fibers import torus_fixed_point
 from positroid.groebner import GroebnerBasis
-from positroid.patterns import AnchorSet
-from positroid.poly import parse_polynomials, poly_from_json
+from positroid.ideals import global_positroid_ideal
+from positroid.patterns import AnchorSet, enumerate_patterns
+from positroid.poly import Polynomial, parse_polynomials, poly_from_json
 from positroid.reports import VerificationReport
 
 
@@ -63,10 +64,9 @@ class TestPatterns:
         assert res.exit_code == 2
 
     def test_bound_respected(self):
-        res = run("patterns", "1", "9", "--max-n", "8")
+        res = run("patterns", "1", "9")
         assert res.exit_code == 2
-        res = run("patterns", "1", "9", "--max-n", "9")
-        assert res.exit_code == 0
+        assert "enumeration bound 8" in res.output
 
 
 class TestIdeal:
@@ -139,6 +139,19 @@ class TestFlatness:
 
     def test_requires_pattern_or_all(self):
         assert run("flatness", "1", "3").exit_code == 2
+
+    def test_multidegrees_found_once_per_ideal(self, monkeypatch):
+        # Each generator's multidegree is found once per specialized ideal,
+        # not once per graded component: an exact count, no timing.
+        bound = sum(len(global_positroid_ideal(J).specialize(eps).generators)
+                    for J in enumerate_patterns(1, 4) for eps in (0, 1))
+        calls = []
+        multidegree = Polynomial.multidegree
+        monkeypatch.setattr(Polynomial, "multidegree",
+                            lambda p, n: calls.append(p) or multidegree(p, n))
+        res = run("flatness", "1", "4", "--all", "--max-degree", "2")
+        assert res.exit_code == 0, res.output
+        assert 0 < len(calls) <= bound
 
 
 class TestComponents:
@@ -229,6 +242,10 @@ class TestInvalidInput:
         ("flatness", "1", "2", "1,2", "--epsilon-list", "0,x"),
         ("basis", "--pattern", "1,2", "--multidegree", "1,1",
          "--epsilon-list", "1/0"),
+        # Fraction reads these, but a rational is "p/q" or "p" everywhere.
+        ("ideal", "1,2", "--epsilon", "1e0"),
+        ("dim", "1,2", "--epsilon", "0.5"),
+        ("hilbert", "1,2", "--multidegree", "1,1", "--epsilon-list", "0,+1"),
         ("flatness", "1", "9", "--all"),
         ("flatness", "0", "3", "--all"),
         ("flatness", "1", "3", "--all", "--max-degree", "-1"),

@@ -122,11 +122,6 @@ class TestIdealWrapper:
         assert not sp.has_epsilon
         assert all(EPSILON not in p.variables() for p in sp.generators)
 
-    def test_groebner_cached(self):
-        gens = [D(0, 1) * D(0, 2)]
-        ideal = Ideal(k=1, n=2, generators=gens, has_epsilon=False)
-        assert ideal.groebner() is ideal.groebner()
-
 
 # -- properties of the division routine on small random ideals ---------------
 

@@ -1,6 +1,7 @@
 """Graded components over the variables outside the vanishing set, checked
 against the full-ring computation."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -107,6 +108,17 @@ class TestQuotientByVanishingVariables:
             assert graded_component_dim(ideal, m) == \
                 full_ring_dim(1, 3, gens, m)
 
+    def test_a_drop_that_leaves_one_variable_makes_it_vanish(self):
+        # Once D0_1 vanishes, D0_1 + D0_2 is D0_2: it vanishes too, and no
+        # row of the quotient may be lost with it.
+        gens = (D(0, 1), D(0, 1) + D(0, 2),
+                D(0, 2) * D(1, 3) - D(0, 3) * D(1, 1))
+        ideal = Ideal(1, 3, gens, has_epsilon=False)
+        assert ideal.vanishing == {("D", 0, (1,)), ("D", 0, (2,))}
+        for m in multidegrees(3, 3):
+            assert graded_component_dim(ideal, m) == \
+                full_ring_dim(1, 3, gens, m)
+
 
 class TestNormalForm:
     @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
@@ -124,6 +136,19 @@ class TestNormalForm:
                 str(J)
             for eps in (0, 1):
                 assert ideal.specialize(eps).vanishing == linear, (str(J), eps)
+
+    @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
+    def test_groups_partition_the_generators(self, k, n):
+        for J in enumerate_patterns(k, n):
+            for eps in (0, 1):
+                ideal = global_positroid_ideal(J).specialize(eps)
+                grouped = []
+                for d, gens in ideal.by_multidegree:
+                    assert all(g.multidegree(n) == d for g in gens), str(J)
+                    grouped += gens
+                linear = [Polynomial.variable(v) for v in ideal.vanishing]
+                assert Counter(grouped + linear) == \
+                    Counter(ideal.generators), (str(J), eps)
 
 
 class TestExcludedVariables:

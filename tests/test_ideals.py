@@ -232,6 +232,12 @@ class TestGradedComponentDim:
         with pytest.raises(ValueError):
             graded_component_dim(ideal, (1, 0))
 
+    def test_inhomogeneous_generator_raises(self):
+        g = D(0, 1) * D(1, 2) + D(0, 3) * D(0, 3)
+        ideal = Ideal(1, 3, (g,), has_epsilon=False)
+        with pytest.raises(ValueError, match="not multihomogeneous"):
+            graded_component_dim(ideal, (1, 1, 0))
+
     def test_k2_constant_linear_component(self):
         ideal = global_positroid_ideal(constant_pattern(2, 4)).specialize(1)
         assert graded_component_dim(ideal, (1, 0, 0, 0)) == 6
