@@ -21,7 +21,8 @@ from .hilbert import graded_component_dim
 from .ideals import global_positroid_ideal
 from .patterns import (PatternError, components_of_special_fiber,
                        enumerate_patterns, parse_pattern)
-from .poly import parse_rational, poly_to_json, polys_to_text
+from .poly import (parse_natural, parse_rational, poly_to_json,
+                   polys_to_text)
 from .reports import SCHEMA, VerificationReport
 
 # Every fiber at eps != 0 is isomorphic to the one at eps = 1, because the
@@ -38,19 +39,16 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_epsilons(text: str) -> list[Fraction]:
-    epsilons = [_parse_fraction(x) for x in map(str.strip, text.split(","))
-                if x]
-    if not epsilons:
-        raise click.UsageError(f"empty epsilon list {text!r}")
-    return epsilons
+    # Every item is a rational; an empty one is an error, not skipped.
+    return [_parse_fraction(x.strip()) for x in text.split(",")]
 
 
 def _parse_multidegree(text: str, n: int) -> tuple[int, ...]:
     try:
-        m = tuple(int(x) for x in text.split(","))
+        m = tuple(parse_natural(x.strip()) for x in text.split(","))
     except ValueError as exc:
         raise click.UsageError(f"bad multidegree {text!r}: {exc}")
-    if len(m) != n or any(x < 0 for x in m):
+    if len(m) != n:
         raise click.UsageError(
             f"multidegree must be {n} nonnegative integers, got {text!r}")
     return m

@@ -1,10 +1,10 @@
 """Generators of the global positroid ideal.
 
-Three families: classical Pluecker quadrics per color, linear Schubert
+Four families: classical Pluecker quadrics per color, linear Schubert
 vanishing monomials per vertex closed under the shifts of the quiver map,
-and the epsilon-twisted shift relations connecting the colors. Each family
-is built on its own; `groebner.Ideal` drops the terms in the vanishing
-variables from the others.
+and the shift relations and transported quadrics across two colors, both
+from one rule (`transport`). Each family is built on its own;
+`groebner.Ideal` drops the terms in the vanishing variables from the others.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .groebner import Ideal
-from .patterns import JugglingPattern, all_subsets
+from .patterns import JugglingPattern, KSubset, all_subsets
 from .poly import Polynomial, dedup
 
 
@@ -57,58 +57,84 @@ def schubert_vanishing_generators(J: JugglingPattern) -> list[Polynomial]:
                    for c in range(n))]
 
 
-def epsilon_relations(k: int, n: int) -> list[Polynomial]:
-    """The shift relations: for colors a, shifts c and subsets I, J,
-    Delta^(a)_I Delta^(a+c)_J = (-1)^(d1(k-d1)+d2(k-d2)) eps^(d1-d2)
-    Delta^(a)_(J+c) Delta^(a+c)_(I-c), where d1 = d_c(J+c) and d2 = d_c(I),
-    with the epsilon power moved to whichever side keeps it nonnegative.
+def transport(a: int, I: KSubset, c: int) -> tuple[int, Polynomial]:
+    """The pair (d, t) with Delta^(a)_I = eps^(-d) t on every fiber with
+    eps != 0: d = d_c(I), t = (-1)^(d(k-d)) Delta^(a+c)_(I-c). There U_(a+c)
+    is M(eps)^c U_a, M(eps): w_1 -> eps*w_n (`fibers`). The -c shift wraps
+    the d elements i <= c of I round to i - c + n, each with a factor eps,
+    and sorting moves them past the other k - d: a sign (-1)^(d(k-d))."""
+    d = I.d_shift(c)
+    t = Polynomial.plucker((a + c) % I.n, I.shift(c).elements)
+    return d, -t if d * (I.k - d) % 2 else t
 
-    The sign is that of the fiber model of `fibers` (quiver map
-    w_1 -> eps*w_n): the shift by c moves the d wrapped elements of a
-    k-subset past the other k - d in sorted order, a permutation of sign
-    (-1)^(d(k-d)). It is 1 for odd k.
-    """
+
+def _clear_epsilon(terms: list[tuple[int, Polynomial]]) -> Polynomial:
+    """Sum of eps^(top-d) p over the pairs (d, p), top the largest d."""
+    top = max(d for d, _ in terms)
+    return sum((Polynomial.epsilon(top - d) * p for d, p in terms),
+               Polynomial.zero())
+
+
+def epsilon_relations(k: int, n: int) -> list[Polynomial]:
+    """The shift relations: for colors a, shifts c and subsets I, J, the
+    transports by c of either factor of Delta^(a)_I Delta^(a)_(J+c) agree
+    (`transport`); the negative powers of eps are cleared."""
     subsets = all_subsets(k, n)
     gens = []
     for a, c in product(range(n), range(n)):
         for I, J in product(subsets, subsets):
             Jp = J.unshift(c)
-            Im = I.shift(c)
-            d1, d2 = Jp.d_shift(c), I.d_shift(c)
-            d = d1 - d2
-            lhs = (Polynomial.plucker(a, I.elements) *
-                   Polynomial.plucker((a + c) % n, J.elements))
-            rhs = (Polynomial.plucker(a, Jp.elements) *
-                   Polynomial.plucker((a + c) % n, Im.elements))
-            if (d1 * (k - d1) + d2 * (k - d2)) % 2:
-                rhs = -rhs
-            if d >= 0:
-                g = lhs - rhs * Polynomial.epsilon(d) if d else lhs - rhs
-            else:
-                g = lhs * Polynomial.epsilon(-d) - rhs
-            gens.append(g)
+            DI, DJp = (Polynomial.plucker(a, X.elements) for X in (I, Jp))
+            (d1, t1), (d2, t2) = transport(a, Jp, c), transport(a, I, c)
+            gens.append(_clear_epsilon([(d1, DI * t1), (d2, -t2 * DJp)]))
+    return dedup(gens)
+
+
+def transported_plucker_generators(k: int, n: int) -> list[Polynomial]:
+    """The color-a quadrics read across the colors a and a + c, for every
+    shift c in [1, n): in each term of a color-a quadric the second factor
+    (in variable order; the same variable for a square) is transported by
+    c (`transport`), and the powers of eps are cleared.
+
+    On a fiber with eps != 0, U_(a+c) = M(eps)^c U_a, so the Pluecker
+    relations of U_a hold with that factor read off U_(a+c). The other
+    families do not imply them: without them the fiber of 12|12|12|12 at
+    eps = 1 has dimension 21 at each two-color multidegree (1, 1), where
+    Gr(2,4) has 20.
+    """
+    gens = []
+    for a in range(n):
+        quadrics = classical_plucker_generators(k, n, a)
+        for c, q in product(range(1, n), quadrics):
+            terms = []
+            for m, coef in q.terms.items():
+                first, second = m.exps[0][0], m.exps[-1][0]
+                d, t = transport(a, KSubset(n, second[2]), c)
+                terms.append((d, Polynomial.variable(first).scale(coef) * t))
+            gens.append(_clear_epsilon(terms))
     return dedup(gens)
 
 
 @lru_cache(maxsize=None)
 def _pattern_free_generators(k: int, n: int):
-    """The quadrics of every color and the shift relations, which depend on
-    (k, n) only: built once and shared by the ideals of all patterns."""
+    """The quadrics of every color and the two-color families, which depend
+    on (k, n) only: built once and shared by the ideals of all patterns."""
     quadrics = tuple(g for a in range(n)
                      for g in classical_plucker_generators(k, n, a))
-    return quadrics, tuple(epsilon_relations(k, n))
+    return quadrics, tuple(epsilon_relations(k, n)
+                           + transported_plucker_generators(k, n))
 
 
 def global_positroid_ideal(J: JugglingPattern) -> Ideal:
     """The ideal generated by the classical quadrics of every color, the
-    shift-closed Schubert vanishing monomials of J, and the shift relations.
+    shift-closed Schubert vanishing monomials of J, and the two-color ones.
 
     The vanishing monomials with a shift c >= 1 lie in the saturation of
     the ideal generated by the unshifted ones and the relations, with
     respect to epsilon and the product of the color irrelevant ideals;
     without them that ideal carries torsion at multidegrees with a zero
     entry, so its graded dimensions there describe no property of the
-    fibers. `Ideal` drops their variables from the quadrics and relations.
+    fibers. `Ideal` drops their variables from the other families.
     """
     quadrics, relations = _pattern_free_generators(J.k, J.n)
     return Ideal(J.k, J.n, quadrics + tuple(schubert_vanishing_generators(J))

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from .poly import parse_natural
+
 
 class PatternError(ValueError):
     """Raised for malformed subsets or juggling patterns."""
@@ -227,15 +229,16 @@ def parse_pattern(text: str) -> JugglingPattern:
             entries = []
             for p in parts:
                 if "," in p:
-                    elems = tuple(int(x) for x in p.split(","))
+                    elems = tuple(parse_natural(x.strip())
+                                  for x in p.split(","))
                 else:
-                    elems = tuple(int(ch) for ch in p)
+                    elems = tuple(map(parse_natural, p))
                 entries.append(KSubset(n, tuple(sorted(elems))))
             k = entries[0].k
             return JugglingPattern(k, n, tuple(entries))
         parts = [p.strip() for p in text.split(",")]
         n = len(parts)
-        entries = tuple(KSubset(n, (int(p),)) for p in parts)
+        entries = tuple(KSubset(n, (parse_natural(p),)) for p in parts)
         return JugglingPattern(1, n, entries)
     except ValueError as exc:
         raise PatternError(f"bad pattern {text!r}: {exc}") from exc

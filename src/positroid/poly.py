@@ -291,11 +291,12 @@ def var_to_text(v: Var) -> str:
     return f"D{a}_" + ".".join(map(str, elems))
 
 
-_VAR_RE = re.compile(r"^(e|D(\d+)_([\d.]+))(?:\^(\d+))?$")
+# ASCII digits only: int() would also read any other Unicode decimal digit.
+_VAR_RE = re.compile(r"(e|D([0-9]+)_([0-9.]+))(?:\^([0-9]+))?")
 
 
 def _parse_factor(tok: str) -> tuple[Var, int]:
-    m = _VAR_RE.match(tok)
+    m = _VAR_RE.fullmatch(tok)
     if not m:
         raise ValueError(f"bad variable factor {tok!r}")
     exp = int(m.group(4)) if m.group(4) else 1
@@ -343,6 +344,14 @@ def parse_rational(text: str) -> Fraction:
     if not (match := _RATIONAL.fullmatch(text)):
         raise ValueError(f"expected p/q, got {text!r}")
     return Fraction(int(match[1]), int(match[2] or 1))
+
+
+def parse_natural(text: str) -> int:
+    """The natural number `text` in ASCII digits; ValueError otherwise.
+    int() would also read "+1", " 1", "1_0" and non-ASCII digits."""
+    if not re.fullmatch("[0-9]+", text):
+        raise ValueError(f"expected digits 0-9, got {text!r}")
+    return int(text)
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -140,6 +140,13 @@ class TestFlatness:
     def test_requires_pattern_or_all(self):
         assert run("flatness", "1", "3").exit_code == 2
 
+    def test_k2_n4_sweep_to_degree_three_passes(self):
+        # Without the transported quadrics, eps = 0 has the larger
+        # dimension in 76 of the 1155 cases.
+        res = run("flatness", "2", "4", "--all", "--max-degree", "3")
+        failed = [line for line in res.output.splitlines() if "[FAIL]" in line]
+        assert res.exit_code == 0 and not failed, failed[:5]
+
     def test_multidegrees_found_once_per_ideal(self, monkeypatch):
         # Each generator's multidegree is found once per specialized ideal,
         # not once per graded component: an exact count, no timing.
@@ -254,6 +261,13 @@ class TestInvalidInput:
         ("basis", "--pattern", "1,1,2", "--multidegree", "20,20,20"),
         *(("membership", "--point", f"POINT:{name}", "--pattern", "1,1,1")
           for name in BAD_POINTS),
+        # int() reads any Unicode decimal digit; the grammars are ASCII.
+        ("ideal", "\u0661,1,2"),
+        ("ideal", "\u0661\u0662|12|12|12"),
+        ("hilbert", "1,1,2", "--multidegree", "\u0661,1,0"),
+        # An empty item of an epsilon list is an error, not skipped.
+        ("hilbert", "1,1,2", "--multidegree", "1,1,0",
+         "--epsilon-list", ",,0,,1"),
     ])
     def test_usage_error_without_traceback(self, args, tmp_path):
         # "POINT" stands for a file holding GOOD_POINT, "POINT:name" for one

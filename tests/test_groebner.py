@@ -193,25 +193,31 @@ class TestDivisionProperties:
     @settings(max_examples=40, deadline=None)
     @given(ideal_and_vars)
     def test_matches_sympy_grlex(self, case):
-        sympy = pytest.importorskip("sympy")
         terms, vars_ = case
         gb = buchberger([_to_poly(t, vars_) for t in terms], vars_)
         ours = {frozenset(_as_dict(g, vars_).items()) for g in gb.polynomials}
-        xs = sympy.symbols(f"x1:{len(vars_) + 1}")
-        exprs = [sum(c * sympy.prod(x ** e for x, e in zip(xs, exp))
-                     for exp, c in t.items()) for t in terms]
-        reference = sympy.groebner(exprs, *xs, order="grlex", domain="QQ")
-        theirs = {frozenset((m, Fraction(int(c.p), int(c.q)))
-                            for m, c in p.terms())
-                  for p in reference.polys}
-        assert ours == theirs
+        assert ours == _sympy_grlex_basis(terms, len(vars_))
+
+
+def _sympy_grlex_basis(terms, nvars):
+    """sympy's reduced grlex basis of the polynomials given as {exponent
+    tuple: coefficient} over `nvars` variables, each element as the
+    frozenset of its (exponent tuple, Fraction) terms."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{nvars + 1}")
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.prod(x ** e for x, e in zip(xs, exp))
+                 for exp, c in t.items()) for t in terms]
+    reference = sympy.groebner(exprs, *xs, order="grlex", domain="QQ")
+    return {frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in p.terms())
+            for p in reference.polys}
 
 
 # -- bases of specialized global positroid ideals ---------------------------
 
 class TestPositroidBases:
     """Bases large enough that the S-pair queue order and the support-mask
-    prefilter matter: 71 to 140 elements in 24 or 25 variables."""
+    prefilter matter: 54 to 111 elements in 24 or 25 variables."""
 
     @pytest.mark.parametrize("pattern, eps, dim", [
         ("12|12|12|12", 0, 8),
@@ -227,7 +233,7 @@ class TestPositroidBases:
             parse_pattern("13|12|13|12")).specialize(0)
         gb = ideal.groebner()
         basis, leads = gb.polynomials, gb.leading_monomials()
-        assert (len(basis), len(gb.variables)) == (71, 24)
+        assert (len(basis), len(gb.variables)) == (54, 24)
         for i in range(len(basis)):
             for j in range(i):
                 s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
@@ -241,3 +247,14 @@ class TestPositroidBases:
                 exps = dict(b.exps)
                 assert i == j or not all(e <= exps.get(v, 0)
                                          for v, e in a.exps)
+
+    def test_basis_certificate_matches_sympy(self):
+        # The same reduced basis from sympy's grlex Groebner basis, in the
+        # same variable order.
+        ideal = global_positroid_ideal(
+            parse_pattern("13|12|13|12")).specialize(0)
+        gb = ideal.groebner()
+        vars_ = gb.variables
+        ours = {frozenset(_as_dict(g, vars_).items()) for g in gb.polynomials}
+        gens = [_as_dict(g, vars_) for g in ideal.generators]
+        assert ours == _sympy_grlex_basis(gens, len(vars_))

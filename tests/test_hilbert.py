@@ -16,6 +16,7 @@ from positroid.ideals import (
     epsilon_relations,
     global_positroid_ideal,
     schubert_vanishing_generators,
+    transported_plucker_generators,
 )
 from positroid.patterns import enumerate_patterns
 from positroid.poly import Polynomial
@@ -41,7 +42,7 @@ def full_ring_dim(k, n, generators, m):
     basis = monomials_of_multidegree(k, n, m)
     index = {mono: i for i, mono in enumerate(basis)}
     rows = []
-    for g in generators:
+    for g in filter(None, generators):  # a zero generator spans no rows
         diff = tuple(mb - db for mb, db in zip(m, g.multidegree(n)))
         if any(x < 0 for x in diff):
             continue
@@ -57,12 +58,12 @@ def full_ring_dim(k, n, generators, m):
 def quadrics_and_relations(k, n):
     return ([g for a in range(n)
              for g in classical_plucker_generators(k, n, a)]
-            + epsilon_relations(k, n))
+            + epsilon_relations(k, n) + transported_plucker_generators(k, n))
 
 
 def raw_generators(J):
     """The generator families of `global_positroid_ideal`, with no term
-    of the quadrics or the relations dropped."""
+    of the quadrics, the relations or the transported quadrics dropped."""
     return quadrics_and_relations(J.k, J.n) + schubert_vanishing_generators(J)
 
 

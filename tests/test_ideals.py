@@ -1,11 +1,15 @@
 """Tests for ideal construction and multigraded component dimensions."""
 
+import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
 from positroid import hilbert
+from positroid.fibers import (FiberError, FiberPoint, Subspace, map_subspace,
+                              plucker_assignment, plucker_vector)
 from positroid.groebner import Ideal, ResourceCapExceeded
 from positroid.hilbert import graded_component_dim, monomials_of_multidegree
 from positroid.ideals import (
@@ -13,6 +17,8 @@ from positroid.ideals import (
     epsilon_relations,
     global_positroid_ideal,
     schubert_vanishing_generators,
+    transport,
+    transported_plucker_generators,
 )
 from positroid.patterns import JugglingPattern, KSubset, enumerate_patterns
 from positroid.poly import EPSILON, Polynomial, poly_to_text
@@ -29,6 +35,30 @@ def P(k, n, *entries):
 def constant_pattern(k, n):
     return JugglingPattern(k, n, tuple(KSubset(n, tuple(range(1, k + 1)))
                                        for _ in range(n)))
+
+
+def random_subspace(rng, k, n):
+    """A k-dimensional subspace of the n-space spanned by small random
+    integer rows."""
+    while True:
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(n))
+                     for _ in range(k))
+        try:
+            return Subspace(n, rows)
+        except FiberError:
+            pass
+
+
+def classical_dim(J, d):
+    """HF_Pi(d) for the classical positroid variety Pi of J, which the
+    Pluecker quadrics and the vanishing Pluecker coordinates of color 0 cut
+    out as a scheme (Knutson-Lam-Speyer, "Positroid varieties: juggling and
+    geometry", section 5): one single-color graded component."""
+    vanishing = [g for g in schubert_vanishing_generators(J)
+                 if g.multidegree(J.n)[0]]
+    ideal = Ideal(J.k, J.n, tuple(classical_plucker_generators(J.k, J.n, 0)
+                                  + vanishing), has_epsilon=False)
+    return graded_component_dim(ideal, (d,) + (0,) * (J.n - 1))
 
 
 class TestClassicalGenerators:
@@ -84,6 +114,65 @@ class TestEpsilonRelations:
         for g in epsilon_relations(1, 4):
             md = g.multidegree(4)
             assert md is not None and sum(md) == 2
+
+
+class TestTransport:
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 4), (3, 5)])
+    def test_matches_the_quiver_map(self, k, n):
+        # Delta^(a)_I = eps^(-d) t, with t = sign * Delta^(a+c)_(I-c): on
+        # U_(a+c) = M(eps)^c U_a, the minor on the columns I - c is
+        # sign * eps^d times the minor of U_a on the columns I, read off
+        # `fibers` alone and not from any generator.
+        rng = random.Random(f"transport {k} {n}")
+        for eps in (Fraction(2), Fraction(-1, 3)):
+            for _ in range(3):
+                U, a = random_subspace(rng, k, n), rng.randrange(n)
+                minors = plucker_vector(U)
+                for c in range(n):
+                    image = plucker_vector(
+                        Subspace(n, map_subspace(U, eps, c)))
+                    at = {("D", (a + c) % n, I.elements): x
+                          for I, x in image.items()}
+                    for I, x in minors.items():
+                        d, t = transport(a, I, c)
+                        assert t.evaluate(at) == eps ** d * x, (U, a, c, I)
+
+
+class TestTransportedQuadrics:
+    @pytest.mark.parametrize("k,n,count", [
+        (1, 4, 0), (2, 3, 0), (2, 4, 12), (2, 5, 100), (3, 5, 100)])
+    def test_count(self, k, n, count):
+        # n colors times n - 1 shifts times the quadrics of Gr(k, n): one
+        # for Gr(2,4), five for Gr(2,5) and Gr(3,5), none for Gr(1,n) and
+        # Gr(2,3).
+        assert len(transported_plucker_generators(k, n)) == count
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 5)])
+    def test_vanish_on_random_constant_fiber_points(self, k, n):
+        # Every point U_b = M(eps)^b U_0 with eps != 0 lies on the fiber of
+        # the constant pattern, whose Schubert conditions are empty.
+        rng = random.Random(f"transported {k} {n}")
+        gens = transported_plucker_generators(k, n)
+        for eps in (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 3)):
+            U0 = random_subspace(rng, k, n)
+            point = FiberPoint(eps, tuple(
+                Subspace(n, map_subspace(U0, eps, b)) for b in range(n)))
+            asg = plucker_assignment(point)
+            assert not [poly_to_text(g) for g in gens if g.evaluate(asg)]
+
+    def test_eps_one_dims_are_the_classical_counts(self):
+        # On the fiber at eps = 1, U_b = M(1)^b U_0, so a monomial of
+        # multidegree m is a degree-|m| polynomial in the Pluecker
+        # coordinates of U_0: dim (S/I_1)_m = HF_Pi(|m|).
+        wrong = []
+        for J in enumerate_patterns(2, 4):
+            ideal = global_positroid_ideal(J).specialize(1)
+            hf = [classical_dim(J, d) for d in range(3)]
+            for m in product(range(3), repeat=4):
+                if sum(m) <= 2 and \
+                        graded_component_dim(ideal, m) != hf[sum(m)]:
+                    wrong.append(f"{J} m={m}")
+        assert not wrong, f"{len(wrong)} cases: {wrong[:5]}"
 
 
 class TestGlobalIdeal:
@@ -182,7 +271,8 @@ def _loop_weight(v, n):
     return -sum(1 for i in elems if i + a < n)
 
 
-@pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (1, 5), (2, 4)])
+@pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5),
+                                 (3, 5)])
 def test_generators_are_loop_rotation_homogeneous(k, n):
     # t acting by D -> t^w D and eps -> t eps maps the ideal to itself, so
     # every fiber at eps != 0 is isomorphic to the one at eps = 1.
@@ -251,10 +341,6 @@ class TestGradedComponentDim:
             for m in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]:
                 assert graded_component_dim(sp, m) == 1
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "k = 2 degree 3: the eps = 0 specialization of 12|12|12|12 lacks "
-        "generators, dimension 53 against 50 (the Hilbert function of "
-        "Gr(2,4) in degree 3) at eps != 0"))
     def test_k2_degree_three_component_is_flat(self):
         ideal = global_positroid_ideal(constant_pattern(2, 4))
         dims = [graded_component_dim(ideal.specialize(e), (0, 0, 1, 2))

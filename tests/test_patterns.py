@@ -125,6 +125,15 @@ class TestParsePattern:
         with pytest.raises(PatternError):
             parse_pattern("")
 
+    @pytest.mark.parametrize("text", ["\u0661,1,2", "1,\uff11,2",
+                                      "1\u0662|12|12|12", "1,\u0662|1,2|1,2",
+                                      "+1,1,2"])
+    def test_digits_are_ascii(self, text):
+        # int() reads each of these as a valid pattern: it takes any Unicode
+        # decimal digit, and a sign.
+        with pytest.raises(PatternError):
+            parse_pattern(text)
+
 
 class TestAnchors:
     def test_anchor_pattern_k1(self):

@@ -197,6 +197,13 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_polynomial("x1*x2")
 
+    @pytest.mark.parametrize("text", ["D0_\u0661\u0662", "2*D\u0661_12",
+                                      "D0_12^\u0662"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        # int() would read these digits as 1 and 2.
+        with pytest.raises(ValueError):
+            parse_polynomial(text)
+
 
 class TestJsonFormat:
     @given(st.data())
