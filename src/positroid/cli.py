@@ -31,6 +31,22 @@ from .reports import SCHEMA, VerificationReport
 DEFAULT_EPSILONS = "0,1"
 
 
+class _Natural(click.ParamType):
+    """A natural number in ASCII digits, read by `parse_natural`; Click's
+    `int` would also read "+1", "1_0" and any Unicode decimal digit."""
+
+    name = "natural"
+
+    def convert(self, value, param, ctx):
+        try:
+            return parse_natural(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+_NATURAL = _Natural()
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -118,8 +134,8 @@ def main():
 
 
 @main.command("patterns")
-@click.argument("k", type=int)
-@click.argument("n", type=int)
+@click.argument("k", type=_NATURAL)
+@click.argument("n", type=_NATURAL)
 @_reported
 def cmd_patterns(k, n):
     """Enumerate all (k, n) juggling patterns."""
@@ -178,12 +194,12 @@ def cmd_hilbert(pattern, multidegree, epsilon_list):
 
 
 @main.command("flatness")
-@click.argument("k", type=int)
-@click.argument("n", type=int)
+@click.argument("k", type=_NATURAL)
+@click.argument("n", type=_NATURAL)
 @click.argument("pattern", required=False)
 @click.option("--all", "sweep_all", is_flag=True,
               help="Sweep every (k, n) pattern.")
-@click.option("--max-degree", type=click.IntRange(min=0), default=2,
+@click.option("--max-degree", type=_NATURAL, default="2",
               show_default=True, help="Bound on |m|.")
 @click.option("--epsilon-list", default=DEFAULT_EPSILONS, show_default=True)
 @_reported

@@ -4,7 +4,9 @@ A specialized ideal I of the colored Pluecker ring S is in the normal form
 of `groebner.Ideal`: its generators are the variables of `I.vanishing`
 (the set Z) and others I' with no term in Z. So S/I = S/(Z + I') is
 isomorphic to S'/I', where S' is the ring in the variables outside Z, and
-the graded components are computed over S'.
+the graded components are computed over S', each from the exact rank of a
+sparse matrix with one {column: coefficient} row per product of a
+generator and a monomial.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     dimension is the count of multidegree-m monomials outside
     `ideal.vanishing` minus the exact rank of the span of the products of
     each group of `ideal.by_multidegree` by the monomials of S' of the
-    complementary multidegree.
+    complementary multidegree. Each product is one sparse row
+    {column: coefficient}, with one entry per term of the generator.
     """
     if ideal.has_epsilon:
         raise ValueError("specialize epsilon before computing graded "
@@ -64,9 +67,6 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
         if any(x < 0 for x in diff):
             continue
         cofactors = monomials_of_multidegree(k, n, diff, zero)
-        for g, mu in product(gens, cofactors):
-            row = [0] * len(basis)
-            for mono, c in g.terms.items():
-                row[index[mono * mu]] = c
-            rows.append(row)
+        rows += ({index[mono * mu]: c for mono, c in g.terms.items()}
+                 for g, mu in product(gens, cofactors))
     return len(basis) - linalg.rank(rows)

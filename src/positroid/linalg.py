@@ -1,24 +1,28 @@
 """Exact linear algebra over the rationals: rank, pivot columns and
 determinant.
 
-Matrices are lists of rows; entries are ints or Fractions. All rest on one
-fraction-free row reduction, `_echelon`, on sparse integer rows that are
-divided by their content after every step. A kept row is then primitive
-and proportional to a vector of minors of the input (with its row
-denominators cleared), so no entry exceeds the Hadamard bound of the
-nonzero input rows, the product of their Euclidean norms.
+A matrix is given by its rows, each either dense, a sequence of entries,
+or sparse, a mapping {column: entry} that may leave zeros out; entries are
+ints or Fractions. All rest on one fraction-free row reduction, `_echelon`,
+on sparse integer rows that are divided by their content after every step.
+A kept row is then primitive and proportional to a vector of minors of the
+input (with its row denominators cleared), so no entry exceeds the Hadamard
+bound of the nonzero input rows, the product of their Euclidean norms.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 from .poly import sort_sign
 
+# A dense row [entry, ...] or a sparse row {column: entry}.
+_Row = Sequence | Mapping[int, object]
 
-def _echelon(rows: Sequence[Sequence]
+
+def _echelon(rows: Sequence[_Row]
              ) -> dict[int, tuple[dict[int, int], Fraction]]:
     """Reduce the rows one at a time against the rows kept so far.
 
@@ -29,9 +33,10 @@ def _echelon(rows: Sequence[Sequence]
     """
     kept: dict[int, tuple[dict[int, int], Fraction]] = {}
     for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        r = {c: x.numerator * (d // x.denominator)
-             for c, x in enumerate(row) if x}
+        r = {c: x for c, x in (row.items() if isinstance(row, Mapping)
+                               else enumerate(row)) if x}
+        d = lcm(*(x.denominator for x in r.values()))
+        r = {c: x.numerator * (d // x.denominator) for c, x in r.items()}
         s = Fraction(d)
         while r:
             g = gcd(*r.values())
@@ -58,18 +63,19 @@ def _echelon(rows: Sequence[Sequence]
     return kept
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank of a rational matrix."""
+def rank(rows: Sequence[_Row]) -> int:
+    """Exact rank of a rational matrix, given as dense rows [entry, ...]
+    or sparse rows {column: entry}, or a mix of both."""
     return len(_echelon(rows))
 
 
-def pivots(rows: Sequence[Sequence]) -> list[int]:
+def pivots(rows: Sequence[_Row]) -> list[int]:
     """The pivot columns (0-based) of an echelon form of the rows: column c
     is a pivot when it is not in the span of the columns before it."""
     return sorted(_echelon(rows))
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
+def det(rows: Sequence[_Row]) -> Fraction:
     """Exact determinant of a square rational matrix."""
     kept = _echelon(rows)
     if len(kept) < len(rows):

@@ -265,6 +265,8 @@ class TestInvalidInput:
         ("ideal", "\u0661,1,2"),
         ("ideal", "\u0661\u0662|12|12|12"),
         ("hilbert", "1,1,2", "--multidegree", "\u0661,1,0"),
+        ("patterns", "\u0661", "3"),
+        ("flatness", "1", "3", "--all", "--max-degree", "\u0662"),
         # An empty item of an epsilon list is an error, not skipped.
         ("hilbert", "1,1,2", "--multidegree", "1,1,0",
          "--epsilon-list", ",,0,,1"),

@@ -2,6 +2,7 @@
 against the full-ring computation."""
 
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -18,7 +19,7 @@ from positroid.ideals import (
     schubert_vanishing_generators,
     transported_plucker_generators,
 )
-from positroid.patterns import enumerate_patterns
+from positroid.patterns import enumerate_patterns, parse_pattern
 from positroid.poly import Polynomial
 
 EPSILONS = (Fraction(0), Fraction(1), Fraction(-2, 3))
@@ -177,3 +178,42 @@ class TestExcludedVariables:
         monkeypatch.setattr(hilbert, "combinations_with_replacement", refuse)
         with pytest.raises(ResourceCapExceeded):
             monomials_of_multidegree(2, 5, (16, 0, 0, 0, 0), everything)
+
+
+class TestSparseRows:
+    @pytest.mark.parametrize("eps", (0, 1))
+    def test_rows_are_sparse_generator_products(self, eps, monkeypatch):
+        # Each row is a generator g times a cofactor: a mapping with one
+        # nonzero entry per term of g, never a dense list over the basis.
+        ideal = global_positroid_ideal(parse_pattern("1,1,2")).specialize(eps)
+        m = (2, 2, 1)
+        rank, seen = linalg.rank, []
+
+        def spy(rows):
+            seen.extend(rows)
+            return rank(rows)
+        monkeypatch.setattr(linalg, "rank", spy)
+        graded_component_dim(ideal, m)
+        terms = [len(g.terms) for d, gens in ideal.by_multidegree
+                 if all(mb >= db for mb, db in zip(m, d))
+                 for g in gens
+                 for _ in monomials_of_multidegree(
+                     ideal.k, ideal.n, tuple(mb - db for mb, db in zip(m, d)),
+                     ideal.vanishing)]
+        assert seen and len(seen) == len(terms)
+        for row, count in zip(seen, terms):
+            assert isinstance(row, Mapping)
+            assert all(row.values())
+            assert len(row) <= count
+
+    @pytest.mark.parametrize("pattern,m,dim", [
+        ("1,1,2", (3, 3, 2), 9),
+        ("12|12|12", (3, 3, 2), 45),
+        ("12|13|23", (3, 2, 2), 1),
+        ("1,2,1,2", (1, 1, 1, 1), 5),
+    ])
+    def test_large_components(self, pattern, m, dim):
+        # The components of the hilbert-deep benchmark workload.
+        ideal = global_positroid_ideal(parse_pattern(pattern))
+        for eps in (0, 2):
+            assert graded_component_dim(ideal.specialize(eps), m) == dim

@@ -45,6 +45,30 @@ class TestOracle:
         assert linalg.pivots(rows) == list(ref.rref()[1])
 
     @settings(max_examples=100, deadline=None)
+    @given(matrices, st.data())
+    def test_sparse_rows_match_dense_and_sympy(self, rows, data):
+        # Each sparse row keeps a drawn subset of its zeros, in a drawn
+        # column order, so explicit zero values and empty dicts both occur.
+        sympy = pytest.importorskip("sympy")
+        sparse = []
+        for row in rows:
+            order = data.draw(st.permutations(range(len(row))), label="order")
+            sparse.append({c: row[c] for c in order
+                           if row[c] or data.draw(st.booleans(),
+                                                  label="keep zero")})
+        ref = _sympy_matrix(sympy, rows)
+        assert linalg.rank(sparse) == linalg.rank(rows) == ref.rank()
+        assert linalg.pivots(sparse) == linalg.pivots(rows) == \
+            list(ref.rref()[1])
+
+    def test_sparse_edge_rows(self):
+        rows = [{}, {0: 0, 2: Fraction(0)}, {3: Fraction(1, 2), 1: 0},
+                {1: Fraction(2, 3), 3: 1}, [0, Fraction(4, 3), 0, 2]]
+        assert linalg.rank(rows) == 2
+        assert linalg.pivots(rows) == [1, 3]
+        assert linalg.rank([{}, {}]) == 0
+
+    @settings(max_examples=100, deadline=None)
     @given(square_matrices)
     def test_det_matches_sympy(self, rows):
         sympy = pytest.importorskip("sympy")
