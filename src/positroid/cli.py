@@ -299,7 +299,9 @@ def cmd_membership(point_file, pattern, epsilon):
     try:
         with open(point_file) as fh:
             point = FiberPoint.from_json(json.load(fh))
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
+        # json.load raises RecursionError on arrays or objects nested
+        # deeper than the interpreter's recursion limit.
         raise click.UsageError(f"bad point file: {exc}")
     if epsilon is not None:
         point = FiberPoint(_parse_fraction(epsilon), point.spaces)

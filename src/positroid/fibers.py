@@ -4,10 +4,13 @@ k=1 parametrized points.
 
 A point of the fiber over eps is a subspace U_b of the n-space for each
 vertex b in Z_n with M(eps) U_b <= U_{b+1}. It lies on the fiber of J when
-each U_b is in the opposite Schubert variety of J_b, which one echelon form
-of U_b decides: its pivot columns are the componentwise-least I with
-Delta_I(U_b) != 0 (`in_opposite_schubert`). The Pluecker coordinates
-themselves (`plucker_vector`) serve only to evaluate ideal generators."""
+each U_b is in the opposite Schubert variety of J_b. One echelon form per
+subspace, kept on the `Subspace`, decides both conditions: its pivot columns
+are the componentwise-least I with Delta_I(U_b) != 0
+(`in_opposite_schubert`), and a row of M(eps) U_b lies in U_{b+1} exactly
+when it reduces to zero against the kept echelon rows of U_{b+1}
+(`is_subrepresentation`). The Pluecker coordinates themselves
+(`plucker_vector`) serve only to evaluate ideal generators."""
 
 from __future__ import annotations
 
@@ -37,11 +40,13 @@ def _typed(x, kind):
 @dataclass(frozen=True)
 class Subspace:
     """A k-dimensional subspace of the n-space, spanned by the rows of an
-    exact full-rank k x n matrix. `pivots` holds the (0-based) pivot
-    columns of its echelon form, one per row."""
+    exact full-rank k x n matrix. `echelon` holds the kept rows of its
+    `linalg.echelon` form, keyed by their pivot, and `pivots` those (0-based)
+    pivot columns in order, one per row."""
 
     n: int
     basis: tuple[tuple[Fraction, ...], ...]
+    echelon: linalg.Echelon = field(init=False, compare=False, repr=False)
     pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -50,7 +55,8 @@ class Subspace:
             for row in self.basis))
         if any(len(row) != self.n for row in self.basis):
             raise FiberError(f"rows must have length {self.n}")
-        object.__setattr__(self, "pivots", tuple(linalg.pivots(self.basis)))
+        object.__setattr__(self, "echelon", linalg.echelon(self.basis))
+        object.__setattr__(self, "pivots", tuple(sorted(self.echelon)))
         if len(self.pivots) != len(self.basis):
             raise FiberError("basis rows are not linearly independent")
 
@@ -103,10 +109,15 @@ class FiberPoint:
     @classmethod
     def from_json(cls, data: Mapping) -> "FiberPoint":
         """Read the `to_json` form: every number a string, "p/q" or "p", in
-        lists at every level. Any other blob raises FiberError."""
+        lists at every level. Any other blob raises FiberError. Each
+        distinct entry string is parsed once per call."""
+        # The lookup raises TypeError on an unhashable entry.
+        parsed: dict[str, Fraction] = {}
         try:
             eps = parse_rational(data["epsilon"])
-            spaces = [[[parse_rational(x) for x in _typed(row, list)]
+            spaces = [[[parsed[x] if x in parsed
+                        else parsed.setdefault(x, parse_rational(x))
+                        for x in _typed(row, list)]
                        for row in _typed(rows, list)]
                       for rows in _typed(data["spaces"], list)]
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
@@ -134,14 +145,12 @@ def map_subspace(U: Subspace, eps, a: int = 1) -> list[list[Fraction]]:
 
 
 def is_subrepresentation(point: FiberPoint) -> bool:
-    """M(eps) U_b <= U_{b+1} for all b, by exact rank."""
-    n = point.n
-    for b in range(n):
-        U, V = point.spaces[b], point.spaces[(b + 1) % n]
-        stacked = list(V.basis) + map_subspace(U, point.epsilon)
-        if linalg.rank(stacked) != V.k:
-            return False
-    return True
+    """M(eps) U_b <= U_{b+1} for all b: each of the k rows of M(eps) U_b
+    reduces to zero against the kept echelon rows of V = U_{b+1}."""
+    spaces = point.spaces
+    return all(linalg.in_span(V.echelon, row)
+               for U, V in zip(spaces, spaces[1:] + spaces[:1])
+               for row in map_subspace(U, point.epsilon))
 
 
 def plucker_vector(U: Subspace) -> dict[KSubset, Fraction]:
@@ -182,15 +191,15 @@ def in_classical_positroid(U: Subspace, J: JugglingPattern) -> bool:
 
 
 def in_positroid_fiber(point: FiberPoint, J: JugglingPattern) -> bool:
-    """M(eps) U_b <= U_{b+1} and U_b in X^-_(J_b) for every vertex b."""
+    """M(eps) U_b <= U_{b+1} and U_b in X^-_(J_b) for every vertex b. The
+    Schubert test reads only pivots, so it goes first."""
     if (point.k, point.n) != (J.k, J.n):
         raise FiberError(
             f"a point of Gr({point.k},{point.n})^{point.n} is not on a fiber "
             f"of the ({J.k},{J.n}) pattern {J}")
-    if not is_subrepresentation(point):
-        return False
-    return all(in_opposite_schubert(U, Jb)
-               for U, Jb in zip(point.spaces, J.entries))
+    return (all(in_opposite_schubert(U, Jb)
+                for U, Jb in zip(point.spaces, J.entries))
+            and is_subrepresentation(point))
 
 
 def torus_fixed_point(S: AnchorSet, eps) -> FiberPoint:

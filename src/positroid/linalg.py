@@ -1,13 +1,16 @@
-"""Exact linear algebra over the rationals: rank, pivot columns and
-determinant.
+"""Exact linear algebra over the rationals: echelon form, span test, rank,
+pivot columns and determinant.
 
 A matrix is given by its rows, each either dense, a sequence of entries,
 or sparse, a mapping {column: entry} that may leave zeros out; entries are
-ints or Fractions. All rest on one fraction-free row reduction, `_echelon`,
-on sparse integer rows that are divided by their content after every step.
-A kept row is then primitive and proportional to a vector of minors of the
-input (with its row denominators cleared), so no entry exceeds the Hadamard
-bound of the nonzero input rows, the product of their Euclidean norms.
+ints or Fractions. All rest on one fraction-free row reduction, `_reduce`,
+which reduces one sparse integer row against rows kept so far, dividing it
+by its content after every step. `echelon` keeps each row that does not
+reduce to zero, `in_span` asks whether a row does against a given echelon,
+and `rank`, `pivots` and `det` read the kept rows of `echelon`. A kept row
+is primitive and proportional to a vector of minors of the input (with its
+row denominators cleared), so no entry exceeds the Hadamard bound of the
+nonzero input rows, the product of their Euclidean norms.
 """
 
 from __future__ import annotations
@@ -20,10 +23,51 @@ from .poly import sort_sign
 
 # A dense row [entry, ...] or a sparse row {column: entry}.
 _Row = Sequence | Mapping[int, object]
+# The kept rows of an echelon form, keyed by pivot: each a sparse primitive
+# integer row {column: entry} together with its scale.
+Echelon = dict[int, tuple[dict[int, int], Fraction]]
 
 
-def _echelon(rows: Sequence[_Row]
-             ) -> dict[int, tuple[dict[int, int], Fraction]]:
+def _reduce(kept: Echelon, row: _Row
+            ) -> tuple[int, dict[int, int], Fraction] | None:
+    """Reduce one row against kept rows, each keyed by its pivot, until
+    its lowest column is no pivot of theirs.
+
+    Returns None when the row lies in the span of the kept rows. Otherwise
+    returns the remainder's pivot c, its lowest column, the remainder, a
+    sparse primitive integer row {column: entry}, and its scale s: the
+    remainder equals s times the row minus multiples of the kept rows.
+    """
+    r = {c: x for c, x in (row.items() if isinstance(row, Mapping)
+                           else enumerate(row)) if x}
+    d = lcm(*(x.denominator for x in r.values()))
+    r = {c: x.numerator * (d // x.denominator) for c, x in r.items()}
+    s = Fraction(d)
+    while r:
+        g = gcd(*r.values())
+        if g != 1:
+            r = {c: x // g for c, x in r.items()}
+            s /= g
+        c = min(r)
+        if c not in kept:
+            return c, r, s
+        p = kept[c][0]
+        g = gcd(p[c], r[c])
+        a, b = p[c] // g, r[c] // g
+        if a != 1:
+            for j in r:
+                r[j] *= a
+            s *= a
+        for j, y in p.items():
+            x = r.get(j, 0) - b * y
+            if x:
+                r[j] = x
+            else:
+                del r[j]
+    return None
+
+
+def echelon(rows: Sequence[_Row]) -> Echelon:
     """Reduce the rows one at a time against the rows kept so far.
 
     Returns the kept rows in input order, keyed by their pivot, the lowest
@@ -31,53 +75,34 @@ def _echelon(rows: Sequence[_Row]
     {column: entry} together with its scale s: the row equals s times the
     input row minus multiples of earlier input rows.
     """
-    kept: dict[int, tuple[dict[int, int], Fraction]] = {}
+    kept: Echelon = {}
     for row in rows:
-        r = {c: x for c, x in (row.items() if isinstance(row, Mapping)
-                               else enumerate(row)) if x}
-        d = lcm(*(x.denominator for x in r.values()))
-        r = {c: x.numerator * (d // x.denominator) for c, x in r.items()}
-        s = Fraction(d)
-        while r:
-            g = gcd(*r.values())
-            if g != 1:
-                r = {c: x // g for c, x in r.items()}
-                s /= g
-            c = min(r)
-            if c not in kept:
-                kept[c] = (r, s)
-                break
-            p = kept[c][0]
-            g = gcd(p[c], r[c])
-            a, b = p[c] // g, r[c] // g
-            if a != 1:
-                for j in r:
-                    r[j] *= a
-                s *= a
-            for j, y in p.items():
-                x = r.get(j, 0) - b * y
-                if x:
-                    r[j] = x
-                else:
-                    del r[j]
+        if reduced := _reduce(kept, row):
+            c, r, s = reduced
+            kept[c] = (r, s)
     return kept
+
+
+def in_span(kept: Echelon, row: _Row) -> bool:
+    """Whether the row lies in the span of the kept rows of an `echelon`."""
+    return _reduce(kept, row) is None
 
 
 def rank(rows: Sequence[_Row]) -> int:
     """Exact rank of a rational matrix, given as dense rows [entry, ...]
     or sparse rows {column: entry}, or a mix of both."""
-    return len(_echelon(rows))
+    return len(echelon(rows))
 
 
 def pivots(rows: Sequence[_Row]) -> list[int]:
     """The pivot columns (0-based) of an echelon form of the rows: column c
     is a pivot when it is not in the span of the columns before it."""
-    return sorted(_echelon(rows))
+    return sorted(echelon(rows))
 
 
 def det(rows: Sequence[_Row]) -> Fraction:
     """Exact determinant of a square rational matrix."""
-    kept = _echelon(rows)
+    kept = echelon(rows)
     if len(kept) < len(rows):
         return Fraction(0)
     # The kept rows have determinant det(rows) * prod(s); sorted by pivot

@@ -41,6 +41,17 @@ BAD_POINTS = {
     "row-as-string": {**GOOD_POINT,
                       "spaces": [[["0", "0", "1"]], ["010"],
                                  [["1", "0", "0"]]]},
+    # Entries that are no string; a list or object cannot key the parsed
+    # entries, so its lookup raises TypeError.
+    "entry-json-list": {**GOOD_POINT,
+                        "spaces": [[["0", "0", ["1"]]], [["0", "1", "0"]],
+                                   [["1", "0", "0"]]]},
+    "entry-json-object": {**GOOD_POINT,
+                          "spaces": [[["0", "0", {"1": "1"}]],
+                                     [["0", "1", "0"]], [["1", "0", "0"]]]},
+    # One bad string in every entry: parsed once, still rejected.
+    "every-entry-1.5": {**GOOD_POINT,
+                        "spaces": [[["1.5"] * 3]] * 3},
     # Fraction reads these, but `to_json` writes only "p/q".
     "epsilon-1e0": {**GOOD_POINT, "epsilon": "1e0"},
     **{f"entry-{x.strip()}": {**GOOD_POINT,
@@ -227,6 +238,15 @@ class TestMembership:
                   "--pattern", "3,2,1", "--epsilon", "1/2", "--json")
         blob = json.loads(res.output)
         assert blob["parameters"]["epsilon"] == "1/2"
+
+    def test_deeply_nested_point_file_exits_2(self, tmp_path):
+        # json.dumps cannot write this; json.load raises RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        res = run("membership", "--point", str(path), "--pattern", "1,2")
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: bad point file" in res.output
 
     def test_garbage_point_file_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Tests for fiber points: quiver maps, membership, and parametrization."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from positroid.fibers import (
     in_positroid_fiber,
     is_subrepresentation,
     k1_point,
+    map_subspace,
     plucker_assignment,
     plucker_vector,
     project_and_check,
@@ -30,7 +33,7 @@ from positroid.patterns import (
     enumerate_patterns,
     pattern_from_anchor,
 )
-from positroid.poly import EPSILON, plucker_var
+from positroid.poly import EPSILON, parse_rational, plucker_var
 
 
 def P(k, n, *entries):
@@ -143,6 +146,92 @@ class TestMembership:
         assert not in_positroid_fiber(other, too_big)
 
 
+# Points of Gr(k, n)^n with 0 < k < n <= 4 at eps in {0, 1, 2, -1/2}.
+# Vertex b spans M(eps)^b U_0 or a drawn subspace, so most points are not
+# subrepresentations, some are, and the failing vertex varies.
+@st.composite
+def random_points(draw):
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n - 1))
+    eps = draw(st.sampled_from((F(0), F(1), F(2), F(-1, 2))))
+    rows = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    full_rank = st.lists(rows, min_size=k, max_size=k).filter(
+        lambda m: linalg.rank(m) == k)
+    U0 = Subspace(n, draw(full_rank))
+    spaces = [U0]
+    for b in range(1, n):
+        image = map_subspace(U0, eps, b)
+        spaces.append(Subspace(n, image)
+                      if linalg.rank(image) == k and draw(st.booleans())
+                      else Subspace(n, draw(full_rank)))
+    return FiberPoint(eps, tuple(spaces))
+
+
+def _stacked_subrepresentation(point):
+    # The rank test the span test replaced: V + M(eps) U has V's dimension.
+    spaces = point.spaces
+    return all(linalg.rank(list(V.basis) + map_subspace(U, point.epsilon))
+               == V.k for U, V in zip(spaces, spaces[1:] + spaces[:1]))
+
+
+def _check_membership(point, J):
+    # in_positroid_fiber is the conjunction of its two conditions.
+    expected = is_subrepresentation(point) and all(
+        in_opposite_schubert(U, Jb) for U, Jb in zip(point.spaces, J.entries))
+    assert in_positroid_fiber(point, J) == expected, (point, J)
+    return expected
+
+
+# The k1_point lambdas of the fiber-points benchmark.
+K1_LAMBDAS = (-9, -7, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 7, 9)
+
+
+class TestSpanOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(random_points())
+    def test_span_test_matches_stacked_rank(self, point):
+        assert is_subrepresentation(point) == \
+            _stacked_subrepresentation(point)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_membership_is_both_conditions(self, n):
+        # Every torus fixed point and k1_point against every pattern of its
+        # shape; the k1_point lambdas are drawn from the benchmark's values.
+        rng = random.Random(n)
+        seen = set()
+        for k in range(1, n):
+            patterns = enumerate_patterns(k, n)
+            for S in itertools.combinations(range(n), k):
+                for eps in (0, 1, -1, F(1, 2)):
+                    point = torus_fixed_point(AnchorSet(n, S), eps)
+                    seen.update(_check_membership(point, J)
+                                for J in patterns)
+        patterns = enumerate_patterns(1, n)
+        for J in patterns:
+            for eps in (0, 2, F(-1, 2)):
+                lam = {l: F(rng.choice(K1_LAMBDAS)) for l in J.ones_locus}
+                point = k1_point(J, lam, eps)
+                seen.update(_check_membership(point, J2) for J2 in patterns)
+        assert seen == {True, False}
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_points(), st.data())
+    def test_membership_is_both_conditions_on_random_points(self, point,
+                                                            data):
+        patterns = enumerate_patterns(point.k, point.n)
+        _check_membership(point, data.draw(st.sampled_from(patterns)))
+
+    def test_membership_fails_both_conditions(self):
+        # U_0 = <w_1> maps onto <w_3>, not into U_1 = <w_2>, and {1} is not
+        # componentwise >= J_0 = {2}.
+        pt = FiberPoint(1, tuple(Subspace.span_of_coordinates(3, (i,))
+                                 for i in (1, 2, 3)))
+        J = P(1, 3, (2,), (1,), (1,))
+        assert not is_subrepresentation(pt)
+        assert not in_opposite_schubert(pt.spaces[0], J.entries[0])
+        assert not in_positroid_fiber(pt, J)
+
+
 class TestTorusFixedPoint:
     def test_coordinates_follow_anchor_pattern(self):
         pt = torus_fixed_point(AnchorSet(3, (0,)), 2)
@@ -215,6 +304,18 @@ class TestJsonRoundtrip:
         assert again.epsilon == pt.epsilon
         assert all(a.basis == b.basis
                    for a, b in zip(again.spaces, pt.spaces))
+
+    def test_entries_parse_as_parse_rational_reads_them(self):
+        # Repeated and distinct entries, some equal as numbers but not as
+        # strings.
+        blob = {"epsilon": "-1/2",
+                "spaces": [[["1", "2/4", "0"]], [["1/2", "1", "-3"]],
+                           [["0", "0/7", "1/2"]]]}
+        pt = FiberPoint.from_json(blob)
+        assert pt.epsilon == parse_rational(blob["epsilon"])
+        assert [U.basis for U in pt.spaces] == [
+            tuple(tuple(parse_rational(x) for x in row) for row in rows)
+            for rows in blob["spaces"]]
 
     def test_json_uses_fraction_strings(self):
         pt = torus_fixed_point(AnchorSet(3, (1,)), F(1, 2))

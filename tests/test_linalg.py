@@ -1,4 +1,4 @@
-"""Exact rank, pivot columns and determinant: sympy as an oracle,
+"""Exact rank, pivot columns, span test and determinant: sympy as an oracle,
 invariance under row operations, and the entry-size bound of the row
 reduction."""
 
@@ -60,6 +60,25 @@ class TestOracle:
         assert linalg.rank(sparse) == linalg.rank(rows) == ref.rank()
         assert linalg.pivots(sparse) == linalg.pivots(rows) == \
             list(ref.rref()[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices, st.data())
+    def test_in_span_matches_rank(self, rows, data):
+        # The row is either drawn freely or a drawn combination of the rows,
+        # so both answers occur.
+        ncols = len(rows[0]) if rows else 0
+        if rows and data.draw(st.booleans(), label="combination"):
+            coeffs = data.draw(st.lists(entries, min_size=len(rows),
+                                        max_size=len(rows)), label="coeffs")
+            row = [sum((a * r[c] for a, r in zip(coeffs, rows)), Fraction(0))
+                   for c in range(ncols)]
+        else:
+            row = data.draw(st.lists(entries, min_size=ncols,
+                                     max_size=ncols), label="row")
+        expected = linalg.rank(rows + [row]) == linalg.rank(rows)
+        kept = linalg.echelon(rows)
+        assert linalg.in_span(kept, row) == expected
+        assert linalg.in_span(kept, dict(enumerate(row))) == expected
 
     def test_sparse_edge_rows(self):
         rows = [{}, {0: 0, 2: Fraction(0)}, {3: Fraction(1, 2), 1: 0},
@@ -126,7 +145,7 @@ def test_kept_entries_within_hadamard_bound():
     rows = [[rng.randint(-9, 9) for _ in range(80)] for _ in range(80)]
     hadamard_sq = math.prod(sum(x * x for x in row) for row in rows)
     bound_bits = math.isqrt(hadamard_sq).bit_length()
-    kept = linalg._echelon(rows)
+    kept = linalg.echelon(rows)
     assert len(kept) == 80
     bits = max(abs(x).bit_length() for r, _ in kept.values()
                for x in r.values())
