@@ -55,8 +55,12 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_epsilons(text: str) -> list[Fraction]:
-    # Every item is a rational; an empty one is an error, not skipped.
-    return [_parse_fraction(x.strip()) for x in text.split(",")]
+    # Every item is a rational; an empty one is an error, not skipped, and
+    # so is a repeat, which the reports keyed by epsilon would merge.
+    epsilons = [_parse_fraction(x.strip()) for x in text.split(",")]
+    if len(set(epsilons)) != len(epsilons):
+        raise click.UsageError(f"repeated epsilon in {text!r}")
+    return epsilons
 
 
 def _parse_multidegree(text: str, n: int) -> tuple[int, ...]:

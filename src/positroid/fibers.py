@@ -133,7 +133,6 @@ def apply_quiver_map(vec: Sequence[Fraction], eps, a: int = 1
     M(eps)^n = eps * identity, so for a = qn + r the image is eps^q times
     the vector shifted down r places, its first r entries wrapped round to
     the end with a factor eps."""
-    eps = Fraction(eps)
     q, r = divmod(a, len(vec))
     out = list(vec[r:]) + [eps * x for x in vec[:r]]
     return [eps ** q * x for x in out] if q else out

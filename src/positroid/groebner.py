@@ -56,17 +56,18 @@ def _to_dense(p: Polynomial, index: dict[Var, int], nvars: int):
     out = {}
     for m, c in p.terms.items():
         e = [0] * nvars
-        for v, x in m.exps:
-            e[index[v]] = x
+        for v in m.factors:
+            e[index[v]] += 1
         out[tuple(e)] = c
     return out
 
 
+def _monomial(e, variables) -> Monomial:
+    return Monomial(v for v, x in zip(variables, e) for _ in range(x))
+
+
 def _to_polynomial(d, variables):
-    terms = {}
-    for e, c in d.items():
-        terms[Monomial([(variables[i], x) for i, x in enumerate(e) if x])] = c
-    return Polynomial(terms)
+    return Polynomial({_monomial(e, variables): c for e, c in d.items()})
 
 
 def _divides(a, b) -> bool:
@@ -146,8 +147,7 @@ class GroebnerBasis:
         return [_to_polynomial(g, self.variables) for g in self._basis]
 
     def leading_monomials(self) -> list[Monomial]:
-        return [Monomial([(self.variables[i], x) for i, x in enumerate(e)
-                          if x]) for e in self._leads]
+        return [_monomial(e, self.variables) for e in self._leads]
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The normal form of p."""

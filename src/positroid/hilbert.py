@@ -36,11 +36,9 @@ def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
         raise groebner.ResourceCapExceeded(
             f"multidegree {m} has more than {cap} monomials")
     subsets = list(combinations(range(1, n + 1), k))
-    per_color = [[tuple((("D", b, I), combo.count(I))
-                        for I in dict.fromkeys(combo))
-                  for combo in combinations_with_replacement(
-                      [I for I in subsets if ("D", b, I) not in excluded],
-                      mb)]
+    per_color = [list(combinations_with_replacement(
+                     [("D", b, I) for I in subsets
+                      if ("D", b, I) not in excluded], mb))
                  for b, mb in enumerate(m)]
     return [Monomial(sum(pick, ())) for pick in product(*per_color)]
 

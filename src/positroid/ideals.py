@@ -108,7 +108,7 @@ def transported_plucker_generators(k: int, n: int) -> list[Polynomial]:
         for c, q in product(range(1, n), quadrics):
             terms = []
             for m, coef in q.terms.items():
-                first, second = m.exps[0][0], m.exps[-1][0]
+                first, second = m.factors
                 d, t = transport(a, KSubset(n, second[2]), c)
                 terms.append((d, Polynomial.variable(first).scale(coef) * t))
             gens.append(_clear_epsilon(terms))

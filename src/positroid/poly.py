@@ -7,6 +7,12 @@ permutation; repeated indices give the zero polynomial. The variable order
 is the natural tuple order: Pluecker variables by color, then subset lex,
 and epsilon last (since "D" < "e").
 
+A `Monomial` is `factors`, the sorted tuple of its variables, each repeated
+as often as its exponent: sorting is the only invariant, a product is the
+concatenation of the factors, and a zero or negative exponent cannot be
+stored. `Monomial.exps`, the (variable, exponent) pairs, is a derived view
+for the text and JSON formats.
+
 This module owns the monomial order, grlex (`grlex_key` on dense exponent
 tuples, used by `groebner`, and its sparse form on `Monomial`), and the
 normal form of a generator: primitive with a positive leading coefficient
@@ -16,6 +22,7 @@ normal form of a generator: primitive with a positive leading coefficient
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import AbstractSet, Iterable, Mapping
@@ -47,47 +54,45 @@ def sort_sign(indices: Iterable[int]) -> tuple[int, tuple[int, ...]]:
 
 
 class Monomial:
-    """A power product, stored as a sorted tuple of (variable, exponent)."""
+    """A power product: `factors`, its variables sorted, with repeats."""
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("factors", "_hash")
 
-    def __init__(self, exps: Iterable[tuple[Var, int]] = ()):
-        items = [(v, e) for v, e in exps if e]
-        if any(e < 0 for _, e in items):
-            raise ValueError("negative exponent")
-        items.sort()
-        self.exps = tuple(items)
-        self._hash = hash(self.exps)
+    def __init__(self, factors: Iterable[Var] = ()):
+        self.factors = tuple(sorted(factors))
+        self._hash = hash(self.factors)
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return isinstance(other, Monomial) and self.factors == other.factors
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial(d.items())
+        return Monomial(self.factors + other.factors)
+
+    @property
+    def exps(self) -> tuple[tuple[Var, int], ...]:
+        """The (variable, exponent) pairs in variable order: a view."""
+        return tuple(Counter(self.factors).items())
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return len(self.factors)
 
     def epsilon_exponent(self) -> int:
-        return dict(self.exps).get(EPSILON, 0)
+        return self.factors.count(EPSILON)
 
     def multidegree(self, n: int) -> tuple[int, ...]:
         """Counts of Pluecker factors per color (epsilon contributes zero)."""
         m = [0] * n
-        for v, e in self.exps:
+        for v in self.factors:
             if v[0] == "D":
-                m[v[1] % n] += e
+                m[v[1] % n] += 1
         return tuple(m)
 
     def __repr__(self):
-        return f"Monomial({self.exps!r})"
+        return f"Monomial({self.factors!r})"
 
 
 MONOMIAL_ONE = Monomial()
@@ -113,7 +118,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, v: Var, exp: int = 1) -> "Polynomial":
-        return cls({Monomial([(v, exp)]): Fraction(1)})
+        return cls({Monomial([v] * exp): Fraction(1)})
 
     @classmethod
     def epsilon(cls, exp: int = 1) -> "Polynomial":
@@ -125,7 +130,7 @@ class Polynomial:
         sign, sorted_idx = sort_sign(indices)
         if sign == 0:
             return cls.zero()
-        return cls({Monomial([(("D", a, sorted_idx), 1)]): Fraction(sign)})
+        return cls({Monomial([("D", a, sorted_idx)]): Fraction(sign)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -172,12 +177,12 @@ class Polynomial:
         return Polynomial._of({m: c * v for m, v in self.terms.items()})
 
     def variables(self) -> set[Var]:
-        return {v for m in self.terms for v, _ in m.exps}
+        return {v for m in self.terms for v in m.factors}
 
     def without(self, variables: AbstractSet[Var]) -> "Polynomial":
         """The terms that contain no variable of `variables`."""
         return Polynomial._of({m: c for m, c in self.terms.items()
-                               if variables.isdisjoint(v for v, _ in m.exps)})
+                               if variables.isdisjoint(m.factors)})
 
     def total_degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)
@@ -194,9 +199,8 @@ class Polynomial:
         value = Fraction(value)
         t: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            e = m.epsilon_exponent()
-            if e:
-                m = Monomial([(v, x) for v, x in m.exps if v != EPSILON])
+            if e := m.epsilon_exponent():
+                m = Monomial(m.factors[:-e])  # epsilon sorts last
                 c = c * value ** e
             if c:
                 _add_term(t, m, c)
@@ -206,11 +210,11 @@ class Polynomial:
         out = Fraction(0)
         for m, c in self.terms.items():
             val = c
-            for v, e in m.exps:
+            for v in m.factors:
                 x = assignment[v]
                 if not x:
                     break
-                val *= Fraction(x) ** e
+                val *= x
             else:
                 out += val
         return out
@@ -254,11 +258,12 @@ def grlex_key(nplucker: int):
 
 def _grlex_rank(m: Monomial):
     # `grlex_key` on a sparse monomial, reversed: the smallest rank is the
-    # largest monomial. With equal degrees, the list of Pluecker variables
-    # repeated by exponent in variable order is smaller exactly when the
+    # largest monomial. With equal degrees, the Pluecker factors (those
+    # before epsilon, which sorts last) are smaller exactly when the
     # exponent vector is lexicographically larger.
-    seq = tuple(v for v, e in m.exps if v != EPSILON for _ in range(e))
-    return (-len(seq), seq, -m.epsilon_exponent())
+    e = m.epsilon_exponent()
+    seq = m.factors[:len(m.factors) - e]
+    return (-len(seq), seq, -e)
 
 
 def primitive_terms(terms: dict, lead) -> dict:
@@ -346,10 +351,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(match[1]), int(match[2] or 1))
 
 
+_NATURAL = re.compile("[0-9]+")
+
+
 def parse_natural(text: str) -> int:
     """The natural number `text` in ASCII digits; ValueError otherwise.
     int() would also read "+1", " 1", "1_0" and non-ASCII digits."""
-    if not re.fullmatch("[0-9]+", text):
+    if not _NATURAL.fullmatch(text):
         raise ValueError(f"expected digits 0-9, got {text!r}")
     return int(text)
 
@@ -363,15 +371,15 @@ def parse_polynomial(text: str) -> Polynomial:
         sign = -1 if chunks[i] == "-" else 1
         body = chunks[i + 1]
         coeff = Fraction(sign)
-        exps: dict[Var, int] = {}
+        factors: list[Var] = []
         for tok in body.split("*"):
             tok = tok.strip()
             if tok.startswith(("D", "e")):
                 v, e = _parse_factor(tok)
-                exps[v] = exps.get(v, 0) + e
+                factors += [v] * e
             else:
                 coeff *= parse_rational(tok)
-        m = Monomial(exps.items())
+        m = Monomial(factors)
         terms[m] = terms.get(m, Fraction(0)) + coeff
     return Polynomial(terms)
 
@@ -387,11 +395,13 @@ def poly_to_json(p: Polynomial) -> list[dict]:
 def poly_from_json(data: list[dict]) -> Polynomial:
     terms: dict[Monomial, Fraction] = {}
     for term in data:
-        exps = {}
+        factors: list[Var] = []
         for name, e in term["exps"].items():
+            if type(e) is not int or e < 1:
+                raise ValueError(f"exponent of {name!r} not >= 1: {e!r}")
             v, extra = _parse_factor(name)
-            exps[v] = exps.get(v, 0) + e * extra
-        m = Monomial(exps.items())
+            factors += [v] * (e * extra)
+        m = Monomial(factors)
         terms[m] = terms.get(m, Fraction(0)) + parse_rational(term["coeff"])
     return Polynomial(terms)
 

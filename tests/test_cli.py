@@ -290,6 +290,9 @@ class TestInvalidInput:
         # An empty item of an epsilon list is an error, not skipped.
         ("hilbert", "1,1,2", "--multidegree", "1,1,0",
          "--epsilon-list", ",,0,,1"),
+        # Items equal as rationals would be merged in the reports.
+        ("hilbert", "1,2", "--multidegree", "1,1", "--epsilon-list", "0,1,1"),
+        ("flatness", "1", "2", "1,2", "--epsilon-list", "1,1/1"),
     ])
     def test_usage_error_without_traceback(self, args, tmp_path):
         # "POINT" stands for a file holding GOOD_POINT, "POINT:name" for one

@@ -135,7 +135,9 @@ def _small_ideals(nvars):
 
 
 def _to_poly(terms, vars_):
-    return Polynomial({Monomial(zip(vars_, e)): c for e, c in terms.items()})
+    return Polynomial({Monomial(v for v, x in zip(vars_, e)
+                                for _ in range(x)): c
+                       for e, c in terms.items()})
 
 
 def _as_dict(p, vars_):
@@ -155,8 +157,8 @@ def _s_polynomial(f, lf, g, lg):
 
     def cofactor(lead):
         d = dict(lead.exps)
-        return Polynomial({Monomial((v, e - d.get(v, 0))
-                                    for v, e in lcm.items()): 1})
+        return Polynomial({Monomial(v for v, e in lcm.items()
+                                    for _ in range(e - d.get(v, 0))): 1})
 
     return cofactor(lf) * f - cofactor(lg) * g
 

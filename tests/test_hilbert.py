@@ -122,6 +122,28 @@ class TestQuotientByVanishingVariables:
                 full_ring_dim(1, 3, gens, m)
 
 
+class TestRankAgainstGroebner:
+    @pytest.mark.parametrize("k,n", [(1, 4), (2, 4)])
+    def test_dims_count_standard_monomials(self, k, n):
+        # The ideals are multihomogeneous, so the monomials of multidegree m
+        # that no leading monomial of a Groebner basis divides are a basis
+        # of the m-th component: the Groebner oracle against the rank one.
+        for J in enumerate_patterns(k, n):
+            for eps in (0, 1):
+                spec = global_positroid_ideal(J).specialize(eps)
+                leads = [lead.exps
+                         for lead in spec.groebner().leading_monomials()]
+                for m in [(0,) * n] + multidegrees(n, 2):
+                    standard = 0
+                    for mono in monomials_of_multidegree(k, n, m):
+                        exps = dict(mono.exps)
+                        standard += not any(
+                            all(e <= exps.get(v, 0) for v, e in lead)
+                            for lead in leads)
+                    assert graded_component_dim(spec, m) == standard, \
+                        (str(J), eps, m)
+
+
 class TestNormalForm:
     @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
     def test_vanishing_set_and_term_drop(self, k, n):

@@ -32,12 +32,10 @@ def _random_poly(data, vars_pool):
     for _ in range(terms):
         coeff = Fraction(data.draw(st.integers(-9, 9)),
                          data.draw(st.integers(1, 9)))
-        exps = []
+        factors = []
         for v in vars_pool:
-            e = data.draw(st.integers(0, 2))
-            if e:
-                exps.append((v, e))
-        p = p + Polynomial({Monomial(exps): coeff})
+            factors += [v] * data.draw(st.integers(0, 2))
+        p = p + Polynomial({Monomial(factors): coeff})
     return p
 
 
@@ -145,7 +143,8 @@ class TestMonomialOrder:
                  data.draw(st.integers(0, 2))]
             c = Fraction(data.draw(st.integers(-9, 9).filter(bool)),
                          data.draw(st.integers(1, 9)))
-            terms[Monomial((universe[i], x) for i, x in enumerate(e))] = c
+            terms[Monomial(universe[i] for i, x in enumerate(e)
+                           for _ in range(x))] = c
         p = Polynomial(terms)
 
         def dense(m):
@@ -215,3 +214,9 @@ class TestJsonFormat:
         p = D(0, 1).scale(Fraction(1, 3))
         blob = poly_to_json(p)
         assert blob[0]["coeff"] == "1/3"
+
+    @pytest.mark.parametrize("exponent", [True, 1.0, "1", 0, -1])
+    def test_json_exponent_is_a_positive_int(self, exponent):
+        blob = [{"coeff": "1/1", "exps": {"D0_12": exponent}}]
+        with pytest.raises(ValueError):
+            poly_from_json(blob)
