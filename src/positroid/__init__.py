@@ -7,9 +7,9 @@ from .patterns import (AnchorSet, JugglingPattern, KSubset, PatternError,
 from .poly import Monomial, Polynomial
 from .groebner import GroebnerBasis, Ideal, buchberger
 from .hilbert import graded_component_dim
-from .ideals import (classical_plucker_generators, epsilon_relations,
-                     global_positroid_ideal, schubert_vanishing_generators,
-                     transport, transported_plucker_generators)
+from .ideals import (classical_plucker_generators, global_positroid_ideal,
+                     pattern_free_generators, schubert_vanishing_generators,
+                     transport)
 from .fibers import (FiberPoint, Subspace, in_classical_positroid,
                      in_opposite_schubert, in_positroid_fiber,
                      is_subrepresentation, k1_point, plucker_vector,

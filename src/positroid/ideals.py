@@ -1,10 +1,15 @@
 """Generators of the global positroid ideal.
 
-Four families: classical Pluecker quadrics per color, linear Schubert
-vanishing monomials per vertex closed under the shifts of the quiver map,
-and the shift relations and transported quadrics across two colors, both
-from one rule (`transport`). Each family is built on its own;
-`groebner.Ideal` drops the terms in the vanishing variables from the others.
+On a fiber with eps != 0, U_(a+c) = M(eps)^c U_a, so a color-a identity
+between products of two Pluecker coordinates also holds with one factor of
+each term read off color a + c (`transport`). One rule reads two such
+identities for every color a and shift c (`pattern_free_generators`): the
+Pluecker quadrics of color a, whose c = 0 readings are the classical
+quadrics, and the commutators Delta_I Delta_J - Delta_J Delta_I, whose
+readings are the eps-twisted shift relations. The linear Schubert vanishing
+monomials, closed under the shifts of the quiver map, are the only
+generators that depend on the pattern; `groebner.Ideal` drops the terms in
+their variables from the others.
 """
 
 from __future__ import annotations
@@ -68,74 +73,62 @@ def transport(a: int, I: KSubset, c: int) -> tuple[int, Polynomial]:
     return d, -t if d * (I.k - d) % 2 else t
 
 
-def _clear_epsilon(terms: list[tuple[int, Polynomial]]) -> Polynomial:
-    """Sum of eps^(top-d) p over the pairs (d, p), top the largest d."""
-    top = max(d for d, _ in terms)
-    return sum((Polynomial.epsilon(top - d) * p for d, p in terms),
+def _read_across(a: int, c: int, terms: list[tuple]) -> Polynomial:
+    """The color-a identity sum coef Delta_X Delta_Y = 0 over the triples
+    (coef, X, Y), read with each Y off color a + c: the sum of coef
+    Delta^(a)_X t with (d, t) = transport(a, Y, c), times the power of eps
+    that clears the negative ones."""
+    read = [(d, Polynomial.plucker(a, X.elements).scale(coef) * t)
+            for coef, X, Y in terms for d, t in [transport(a, Y, c)]]
+    top = max(d for d, _ in read)
+    return sum((Polynomial.epsilon(top - d) * p for d, p in read),
                Polynomial.zero())
 
 
-def epsilon_relations(k: int, n: int) -> list[Polynomial]:
-    """The shift relations: for colors a, shifts c and subsets I, J, the
-    transports by c of either factor of Delta^(a)_I Delta^(a)_(J+c) agree
-    (`transport`); the negative powers of eps are cleared."""
+@lru_cache(maxsize=None)
+def pattern_free_generators(k: int, n: int) -> tuple[Polynomial, ...]:
+    """Every generator that does not depend on the pattern, built once per
+    (k, n): for each color a and shift c, two kinds of color-a identity
+    read across the colors a and a + c (`_read_across`).
+
+    - Each Pluecker quadric of color a. Each term moves its factor of
+      smaller d_c, the second in variable order on a tie (every term at
+      c = 0 and every square), so c = 0 gives the quadric itself. Moving
+      the second factor always leaves the top eps power of some readings
+      too high: the fiber of 123|123|123|123|123|123 at eps = 0 is then one
+      dimension larger than at eps = 1 at m = e_0 + e_3. The other
+      generators do not imply the readings at c >= 1: without them the
+      fiber of 12|12|12|12 at eps = 1 has dimension 21 at each two-color
+      multidegree (1, 1), where Gr(2,4) has 20.
+    - Each commutator Delta_I Delta_(J+c) - Delta_(J+c) Delta_I, with no
+      such choice, since both terms are one monomial: the shift relations.
+    """
     subsets = all_subsets(k, n)
     gens = []
-    for a, c in product(range(n), range(n)):
-        for I, J in product(subsets, subsets):
-            Jp = J.unshift(c)
-            DI, DJp = (Polynomial.plucker(a, X.elements) for X in (I, Jp))
-            (d1, t1), (d2, t2) = transport(a, Jp, c), transport(a, I, c)
-            gens.append(_clear_epsilon([(d1, DI * t1), (d2, -t2 * DJp)]))
-    return dedup(gens)
-
-
-def transported_plucker_generators(k: int, n: int) -> list[Polynomial]:
-    """The color-a quadrics read across the colors a and a + c, for every
-    shift c in [1, n): in each term of a color-a quadric the second factor
-    (in variable order; the same variable for a square) is transported by
-    c (`transport`), and the powers of eps are cleared.
-
-    On a fiber with eps != 0, U_(a+c) = M(eps)^c U_a, so the Pluecker
-    relations of U_a hold with that factor read off U_(a+c). The other
-    families do not imply them: without them the fiber of 12|12|12|12 at
-    eps = 1 has dimension 21 at each two-color multidegree (1, 1), where
-    Gr(2,4) has 20.
-    """
-    gens = []
     for a in range(n):
-        quadrics = classical_plucker_generators(k, n, a)
-        for c, q in product(range(1, n), quadrics):
-            terms = []
-            for m, coef in q.terms.items():
-                first, second = m.factors
-                d, t = transport(a, KSubset(n, second[2]), c)
-                terms.append((d, Polynomial.variable(first).scale(coef) * t))
-            gens.append(_clear_epsilon(terms))
-    return dedup(gens)
-
-
-@lru_cache(maxsize=None)
-def _pattern_free_generators(k: int, n: int):
-    """The quadrics of every color and the two-color families, which depend
-    on (k, n) only: built once and shared by the ideals of all patterns."""
-    quadrics = tuple(g for a in range(n)
-                     for g in classical_plucker_generators(k, n, a))
-    return quadrics, tuple(epsilon_relations(k, n)
-                           + transported_plucker_generators(k, n))
+        quadrics = [[(coef, *(KSubset(n, v[2]) for v in m.factors))
+                     for m, coef in q.terms.items()]
+                    for q in classical_plucker_generators(k, n, a)]
+        for c in range(n):
+            gens.extend(_read_across(a, c, [
+                (coef, Y, X) if X.d_shift(c) < Y.d_shift(c) else (coef, X, Y)
+                for coef, X, Y in q]) for q in quadrics)
+            gens.extend(_read_across(a, c, [(1, I, Jp), (-1, Jp, I)])
+                        for I, J in product(subsets, subsets)
+                        for Jp in [J.unshift(c)])
+    return tuple(dedup(gens))
 
 
 def global_positroid_ideal(J: JugglingPattern) -> Ideal:
-    """The ideal generated by the classical quadrics of every color, the
-    shift-closed Schubert vanishing monomials of J, and the two-color ones.
+    """The ideal generated by the shift-closed Schubert vanishing monomials
+    of J and the pattern-free generators.
 
     The vanishing monomials with a shift c >= 1 lie in the saturation of
-    the ideal generated by the unshifted ones and the relations, with
+    the ideal generated by the unshifted ones and the shift relations, with
     respect to epsilon and the product of the color irrelevant ideals;
     without them that ideal carries torsion at multidegrees with a zero
     entry, so its graded dimensions there describe no property of the
-    fibers. `Ideal` drops their variables from the other families.
+    fibers. `Ideal` drops their variables from the other generators.
     """
-    quadrics, relations = _pattern_free_generators(J.k, J.n)
-    return Ideal(J.k, J.n, quadrics + tuple(schubert_vanishing_generators(J))
-                 + relations)
+    return Ideal(J.k, J.n, tuple(schubert_vanishing_generators(J))
+                 + pattern_free_generators(J.k, J.n))

@@ -4,7 +4,6 @@ against the full-ring computation."""
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -13,11 +12,9 @@ from positroid import hilbert, linalg
 from positroid.groebner import Ideal, ResourceCapExceeded
 from positroid.hilbert import graded_component_dim, monomials_of_multidegree
 from positroid.ideals import (
-    classical_plucker_generators,
-    epsilon_relations,
     global_positroid_ideal,
+    pattern_free_generators,
     schubert_vanishing_generators,
-    transported_plucker_generators,
 )
 from positroid.patterns import enumerate_patterns, parse_pattern
 from positroid.poly import Polynomial
@@ -55,17 +52,11 @@ def full_ring_dim(k, n, generators, m):
     return len(basis) - linalg.rank(rows)
 
 
-@lru_cache(maxsize=None)
-def quadrics_and_relations(k, n):
-    return ([g for a in range(n)
-             for g in classical_plucker_generators(k, n, a)]
-            + epsilon_relations(k, n) + transported_plucker_generators(k, n))
-
-
 def raw_generators(J):
-    """The generator families of `global_positroid_ideal`, with no term
-    of the quadrics, the relations or the transported quadrics dropped."""
-    return quadrics_and_relations(J.k, J.n) + schubert_vanishing_generators(J)
+    """The generators of `global_positroid_ideal`, with no term of the
+    pattern-free ones dropped."""
+    return [*pattern_free_generators(J.k, J.n),
+            *schubert_vanishing_generators(J)]
 
 
 def assert_matches_full_ring(J, generators):

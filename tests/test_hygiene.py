@@ -1,7 +1,8 @@
 """Every import in the package modules and the tests is used, every private
 module-level function or class of the package is used in its module, every
-public one is named somewhere, no package module imports another's private
-name, and every binding the benchmark tracer wraps exists.
+public one is named somewhere, every module-level function, class and
+constant is named in a package module or a test, no package module imports
+another's private name, and every binding the benchmark tracer wraps exists.
 
 No linter is a dependency of this project, so this walks the syntax tree of
 each module: a name bound by an import must be referenced somewhere else in
@@ -133,3 +134,31 @@ def test_tracer_bindings_resolve():
     assert not missing, "unresolved tracer bindings:\n" + "\n".join(missing)
     # The tracer counts basis sizes with it.
     assert callable(vars(GroebnerBasis)["leading_monomials"])
+
+
+def _defined_names(stmt):
+    # The names a top-level statement binds by definition or assignment.
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_no_dead_module_names():
+    # Every module-level function, class and constant of the package is
+    # named in a package module or a test outside its own definition; an
+    # export from `__init__.py` is no use. The `cmd_*` verbs are reached
+    # through the decorator that registers them.
+    statements = [(path, stmt) for path in MODULES
+                  for stmt in ast.parse(path.read_text(),
+                                        filename=str(path)).body]
+    names = [set(_names(stmt)) for _, stmt in statements]
+    dead = [f"{path.name}: {name}"
+            for i, (path, stmt) in enumerate(statements)
+            if path.parent.name == "positroid"
+            for name in _defined_names(stmt)
+            if not name.startswith("cmd_")
+            and not any(name in used for j, used in enumerate(names)
+                        if j != i)]
+    assert not dead, "module-level names used nowhere:\n" + "\n".join(dead)

@@ -14,14 +14,14 @@ from positroid.groebner import Ideal, ResourceCapExceeded
 from positroid.hilbert import graded_component_dim, monomials_of_multidegree
 from positroid.ideals import (
     classical_plucker_generators,
-    epsilon_relations,
     global_positroid_ideal,
+    pattern_free_generators,
     schubert_vanishing_generators,
     transport,
-    transported_plucker_generators,
 )
-from positroid.patterns import JugglingPattern, KSubset, enumerate_patterns
-from positroid.poly import EPSILON, Polynomial, poly_to_text
+from positroid.patterns import (JugglingPattern, KSubset, enumerate_patterns,
+                                rotate)
+from positroid.poly import EPSILON, Monomial, Polynomial, poly_to_text
 
 
 def D(a, *idx):
@@ -93,10 +93,13 @@ class TestSchubertGenerators:
 
 
 class TestEpsilonRelations:
+    # Gr(1, n) has no quadrics, so for k = 1 the pattern-free generators
+    # are the shift relations alone.
+
     def test_k1_n3_matches_quadratic_table(self):
         # For k=1 the relations pair single indices:
         # D^(b)_i D^(b+s)_j = eps^? D^(b)_{j+s mod} D^(b+s)_{i-s mod}.
-        gens = epsilon_relations(1, 3)
+        gens = pattern_free_generators(1, 3)
         texts = {poly_to_text(g) for g in gens}
         assert len(gens) == 9
         # no wrap on either side: D^(0)_3 D^(1)_1 = D^(0)_2 D^(1)_2.
@@ -106,12 +109,12 @@ class TestEpsilonRelations:
         assert "D0_1*D1_1*e - D0_2*D1_3" in texts
 
     def test_epsilon_exponent_nonnegative(self):
-        for g in epsilon_relations(2, 4):
+        for g in pattern_free_generators(2, 4):
             for mono in g.terms:
                 assert mono.epsilon_exponent() >= 0
 
     def test_relations_homogeneous_of_degree_one_per_color_pair(self):
-        for g in epsilon_relations(1, 4):
+        for g in pattern_free_generators(1, 4):
             md = g.multidegree(4)
             assert md is not None and sum(md) == 2
 
@@ -140,19 +143,23 @@ class TestTransport:
 
 class TestTransportedQuadrics:
     @pytest.mark.parametrize("k,n,count", [
-        (1, 4, 0), (2, 3, 0), (2, 4, 12), (2, 5, 100), (3, 5, 100)])
+        (1, 4, 36), (2, 3, 9), (2, 4, 102), (2, 5, 545), (3, 5, 545)])
     def test_count(self, k, n, count):
-        # n colors times n - 1 shifts times the quadrics of Gr(k, n): one
-        # for Gr(2,4), five for Gr(2,5) and Gr(3,5), none for Gr(1,n) and
-        # Gr(2,3).
-        assert len(transported_plucker_generators(k, n)) == count
+        # Every pattern-free generator: the classical quadrics (4, 25, 25
+        # on (2,4), (2,5), (3,5)), the transported ones (8, 70, 70) and the
+        # shift relations (90, 450, 450); Gr(1, n) and Gr(2, 3) have no
+        # quadrics. The transported quadrics are n (n - 1) readings of each
+        # quadric of Gr(k, n), 12, 100 and 100 when every term moves its
+        # second factor; moving the factor of smaller d_c makes some of
+        # them agree up to a factor.
+        assert len(pattern_free_generators(k, n)) == count
 
     @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 5)])
     def test_vanish_on_random_constant_fiber_points(self, k, n):
         # Every point U_b = M(eps)^b U_0 with eps != 0 lies on the fiber of
         # the constant pattern, whose Schubert conditions are empty.
         rng = random.Random(f"transported {k} {n}")
-        gens = transported_plucker_generators(k, n)
+        gens = pattern_free_generators(k, n)
         for eps in (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 3)):
             U0 = random_subspace(rng, k, n)
             point = FiberPoint(eps, tuple(
@@ -173,6 +180,15 @@ class TestTransportedQuadrics:
                         graded_component_dim(ideal, m) != hf[sum(m)]:
                     wrong.append(f"{J} m={m}")
         assert not wrong, f"{len(wrong)} cases: {wrong[:5]}"
+
+    def test_constant_3_6_antipodal_component_is_flat(self):
+        # At m = e_0 + e_3 both fibers have 175 = HF_Gr(3,6)(2). Moving the
+        # second factor of Delta_156 Delta_234 (d_3 = 2, against 0 for
+        # Delta_156) would leave the quadric of Delta_123 Delta_456 with a
+        # top eps power of 2, and the fiber at eps = 0 with 176.
+        ideal = global_positroid_ideal(constant_pattern(3, 6))
+        assert [graded_component_dim(ideal.specialize(e), (1, 0, 0, 1, 0, 0))
+                for e in (0, 1)] == [175, 175]
 
 
 class TestGlobalIdeal:
@@ -261,6 +277,27 @@ class TestGlobalIdeal:
         sp = ideal.specialize(2)
         assert not sp.has_epsilon
         assert all(EPSILON not in g.variables() for g in sp.generators)
+
+
+def _relabeled(g, n):
+    # g with every color a relabeled a - 1, made primitive again: the
+    # relabeling may change which term leads, and so the sign.
+    def var(v):
+        return v if v == EPSILON else (v[0], (v[1] - 1) % n, v[2])
+    return Polynomial({Monomial(map(var, m.factors)): c
+                       for m, c in g.terms.items()}).primitive()
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5)])
+def test_generators_are_rotation_equivariant(k, n):
+    # Rotating the quiver is an automorphism: the ideal of rotate(J), whose
+    # color a is J_(a+1), is the ideal of J with every color a relabeled
+    # a - 1, and so is its generator set.
+    mismatched = [str(J) for J in enumerate_patterns(k, n)
+                  if set(global_positroid_ideal(rotate(J)).generators)
+                  != {_relabeled(g, n)
+                      for g in global_positroid_ideal(J).generators}]
+    assert not mismatched, mismatched[:5]
 
 
 def _loop_weight(v, n):
