@@ -1,19 +1,21 @@
 """Buchberger's algorithm over exact rationals, normal forms, Krull
 dimension of leading ideals, and the Ideal container.
 
-Internally polynomials are dense exponent tuples over a fixed ordered
-variable universe; the public surface speaks `poly.Polynomial`. The
-monomial order (`poly.grlex_key`), the primitive normalization of a basis
-element and the dedup of generators belong to `poly`.
+Buchberger computes on the terms of `poly.Polynomial` directly: a
+polynomial is a {Monomial: Fraction} dict, and the lead of f is
+`min(f, key=grlex_rank)`. The monomial order (`poly.grlex_rank`), the
+primitive normalization of a basis element and the dedup of generators
+belong to `poly`.
 
-`buchberger` uses the normal selection strategy: the pending S-pairs sit
-in a heap keyed by the order of their lcm, and the smallest is reduced
-first. A pair is dropped unreduced by Buchberger's product criterion
-(coprime leading monomials) or chain criterion (a third leading monomial
-divides the lcm and both of its pairs are done). Each leading monomial
-carries the bitmask of its support, and every divisibility test against
-a leading monomial (the chain criterion, the reducer search of a division
-and the final interreduction) compares masks before exponents (Bachmann
+`buchberger` uses the normal selection strategy in degree: the pending
+S-pairs sit in a heap keyed by the degree of their lcm, and a pair of the
+lowest lcm degree is reduced first. A pair is dropped unreduced by
+Buchberger's product criterion (coprime leading monomials) or chain
+criterion (a third leading monomial divides the lcm and both of its pairs
+are done). Each leading monomial carries the bitmask of its support, one
+bit per variable of the universe, and every divisibility test against a
+leading monomial (the chain criterion, the reducer search of a division
+and the final interreduction) compares masks before factors (Bachmann
 and Schoenemann, "Monomial representations for Groebner bases
 computations", ISSAC 1998).
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .patterns import all_subsets
-from .poly import (EPSILON, Monomial, Polynomial, Var, dedup, grlex_key,
+from .poly import (EPSILON, Monomial, Polynomial, Var, dedup, grlex_rank,
                    primitive_terms)
 
 
@@ -49,54 +51,42 @@ MAX_TOTAL_DEGREE = 80
 MAX_COMPONENT_MONOMIALS = 200000
 
 
-def _to_dense(p: Polynomial, index: dict[Var, int], nvars: int):
-    missing = [v for v in p.variables() if v not in index]
+def _check_universe(p: Polynomial, bits: dict[Var, int]) -> None:
+    missing = [v for v in p.variables() if v not in bits]
     if missing:
         raise ValueError(f"variables outside the universe: {missing}")
-    out = {}
-    for m, c in p.terms.items():
-        e = [0] * nvars
-        for v in m.factors:
-            e[index[v]] += 1
-        out[tuple(e)] = c
+
+
+def _divides(a: Monomial, b: Monomial) -> bool:
+    # One pass over b's sorted factors finds a's in order, repeats too.
+    rest = iter(b.factors)
+    return all(v in rest for v in a.factors)
+
+
+def _quotient(b: Monomial, a: Monomial) -> Monomial:
+    # b with a's factors removed: b / a when a divides b, and otherwise the
+    # part of b that a lacks, so that a * _quotient(b, a) is lcm(a, b).
+    rest = list(b.factors)
+    for v in a.factors:
+        if v in rest:
+            rest.remove(v)
+    return Monomial(rest)
+
+
+def _mask(m: Monomial, bits: dict[Var, int]) -> int:
+    # The support of m as a bitmask, one bit per universe variable: a
+    # divides b only if _mask(a) & ~_mask(b) == 0, one integer operation
+    # that rejects most non-divisors before `_divides` reads the factors.
+    out = 0
+    for v in m.factors:
+        out |= bits[v]
     return out
 
 
-def _monomial(e, variables) -> Monomial:
-    return Monomial(v for v, x in zip(variables, e) for _ in range(x))
-
-
-def _to_polynomial(d, variables):
-    return Polynomial({_monomial(e, variables): c for e, c in d.items()})
-
-
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mask(e) -> int:
-    # The support of an exponent tuple as a bitmask: a divides b only if
-    # _mask(a) & ~_mask(b) == 0, one integer operation that rejects most
-    # non-divisors before `_divides` compares the exponents.
-    return sum(1 << i for i, x in enumerate(e) if x)
-
-
-def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _sub_exp(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _add_exp(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _eliminate(f: dict, g: dict, q, factor) -> None:
-    # f -= factor * x^q * g, in place, dropping the terms that cancel.
-    for e, c in g.items():
-        t = _add_exp(e, q)
+def _eliminate(f: dict, g: dict, q: Monomial, factor) -> None:
+    # f -= factor * q * g, in place, dropping the terms that cancel.
+    for m, c in g.items():
+        t = m * q
         s = f.get(t, Fraction(0)) - factor * c
         if s:
             f[t] = s
@@ -104,109 +94,110 @@ def _eliminate(f: dict, g: dict, q, factor) -> None:
             f.pop(t, None)
 
 
-def _reduce(f: dict, basis: list[dict], leads: list[tuple],
-            masks: list[int], key) -> dict:
+def _reduce(f: dict, basis: list[dict], leads: list[Monomial],
+            masks: list[int], bits: dict[Var, int]) -> dict:
     """The remainder of f under the division algorithm by `basis`, where
-    leads[i] is the leading exponent of basis[i] and masks[i] its support
-    mask: no term of the result is divisible by any leading exponent. The
+    leads[i] is the leading monomial of basis[i] and masks[i] its support
+    mask: no term of the result is divisible by any leading monomial. The
     first basis element whose lead divides the current leading term is
     used. Raises ResourceCapExceeded when the working polynomial exceeds
     MAX_TERMS terms."""
     f = dict(f)
     remainder: dict = {}
     while f:
-        lead = max(f, key=key)
-        outside = ~_mask(lead)
+        lead = min(f, key=grlex_rank)
+        outside = ~_mask(lead, bits)
         for g, lg, mg in zip(basis, leads, masks):
             if not mg & outside and _divides(lg, lead):
                 break
         else:
             remainder[lead] = f.pop(lead)
             continue
-        _eliminate(f, g, _sub_exp(lead, lg), f[lead] / g[lg])
+        _eliminate(f, g, _quotient(lead, lg), f[lead] / g[lg])
         if len(f) > MAX_TERMS:
             raise ResourceCapExceeded(
                 f"term count {len(f)} exceeds cap {MAX_TERMS}")
     return remainder
 
 
+def _bits(variables: tuple[Var, ...]) -> dict[Var, int]:
+    return {v: 1 << i for i, v in enumerate(variables)}
+
+
 class GroebnerBasis:
     """A reduced Groebner basis over a fixed ordered variable universe."""
 
-    def __init__(self, variables: tuple[Var, ...], dense_basis: list[dict],
-                 key):
+    def __init__(self, variables: tuple[Var, ...], basis: list[dict]):
         self.variables = variables
-        self._index = {v: i for i, v in enumerate(variables)}
-        self._key = key
-        self._basis = dense_basis
-        self._leads = [max(g, key=key) for g in dense_basis]
-        self._masks = [_mask(e) for e in self._leads]
+        self._bits = _bits(variables)
+        self._basis = basis
+        self._leads = [min(g, key=grlex_rank) for g in basis]
+        self._masks = [_mask(m, self._bits) for m in self._leads]
 
     @property
     def polynomials(self) -> list[Polynomial]:
-        return [_to_polynomial(g, self.variables) for g in self._basis]
+        return [Polynomial(g) for g in self._basis]
 
     def leading_monomials(self) -> list[Monomial]:
-        return [_monomial(e, self.variables) for e in self._leads]
+        return list(self._leads)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The normal form of p."""
-        dense = _to_dense(p, self._index, len(self.variables))
-        return _to_polynomial(_reduce(dense, self._basis, self._leads,
-                                      self._masks, self._key),
-                              self.variables)
+        _check_universe(p, self._bits)
+        return Polynomial(_reduce(p.terms, self._basis, self._leads,
+                                  self._masks, self._bits))
 
     def krull_dimension(self) -> int:
         """Dimension of the quotient: maximum number of variables whose
         span meets no leading monomial's support."""
-        supports = {frozenset(i for i, x in enumerate(e) if x)
-                    for e in self._leads}
+        supports = {frozenset(m.factors) for m in self._leads}
         if frozenset() in supports:
             return 0  # the ideal is the whole ring; dimension of V(1) = 0
         # keep only minimal supports
         minimal = [s for s in supports
                    if not any(t < s for t in supports)]
-        nvars = len(self.variables)
         best = [len(minimal)]
 
         def min_hitting(sups, count):
+            # A hitting set meets the smallest support s in some v. After
+            # the branch that takes v, the later branches leave v out, so
+            # v leaves every support; one that empties cannot be hit.
             if count >= best[0]:
                 return
             if not sups:
                 best[0] = count
                 return
-            s = min(sups, key=len)
-            for v in sorted(s):
+            for v in sorted(min(sups, key=len)):
                 min_hitting([t for t in sups if v not in t], count + 1)
+                sups = [t - {v} for t in sups]
+                if not all(sups):
+                    return
 
         min_hitting(minimal, 0)
-        return nvars - best[0]
+        return len(self.variables) - best[0]
 
 
 def buchberger(generators: list[Polynomial],
                variables: tuple[Var, ...]) -> GroebnerBasis:
     """Compute the reduced grlex Groebner basis of the ideal generated by
     `generators` in the given ordered variable universe."""
-    key = grlex_key(len(variables) - (EPSILON in variables))
-    index = {v: i for i, v in enumerate(variables)}
-    nvars = len(variables)
-
+    bits = _bits(variables)
     basis: list[dict] = []
     for p in dedup(generators):
-        g = _to_dense(p, index, nvars)
-        if len(g) > MAX_TERMS:
+        _check_universe(p, bits)
+        if len(p.terms) > MAX_TERMS:
             raise ResourceCapExceeded(
-                f"generator has {len(g)} terms, cap {MAX_TERMS}")
+                f"generator has {len(p.terms)} terms, cap {MAX_TERMS}")
         deg = p.total_degree()
         if deg > MAX_TOTAL_DEGREE:
             raise ResourceCapExceeded(
                 f"generator degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
-        basis.append(g)
-    leads = [max(g, key=key) for g in basis]
-    masks = [_mask(e) for e in leads]
+        basis.append(p.terms)
+    leads = [min(g, key=grlex_rank) for g in basis]
+    masks = [_mask(m, bits) for m in leads]
 
     # Normal selection: the pending S-pairs (i, j), i > j, sit in a heap
-    # by the key of their lcm, ties broken on (i, j); `pairs` holds the
+    # by the degree of their lcm, ties broken on (i, j); `pairs` holds the
     # same pairs for the chain criterion's membership test. By the product
     # criterion a pair with coprime leads has an S-polynomial that reduces
     # to zero, so it is never queued and counts as handled from the start.
@@ -217,7 +208,8 @@ def buchberger(generators: list[Polynomial],
         for j in range(i):
             if masks[i] & masks[j]:
                 pairs.add((i, j))
-                heapq.heappush(queue, (key(_lcm(leads[i], leads[j])), i, j))
+                degree = leads[i].degree + _quotient(leads[j], leads[i]).degree
+                heapq.heappush(queue, (degree, i, j))
 
     for i in range(len(basis)):
         push_pairs(i)
@@ -226,10 +218,12 @@ def buchberger(generators: list[Polynomial],
         _, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
         li, lj = leads[i], leads[j]
-        l = _lcm(li, lj)
+        qi = _quotient(lj, li)
+        l = li * qi
         # chain criterion: an intermediate basis element dividing the lcm
-        # with both its pairs handled lets us skip this pair
-        outside = ~_mask(l)
+        # with both its pairs handled lets us skip this pair; the support
+        # of the lcm is the union of the two supports
+        outside = ~(masks[i] | masks[j])
         skip = False
         for t in range(len(basis)):
             if t in (i, j) or masks[t] & outside:
@@ -245,25 +239,25 @@ def buchberger(generators: list[Polynomial],
         # S = (l / l_i) g_i / c_i - (l / l_j) g_j / c_j: the second half is
         # one elimination step of the division.
         gi, gj = basis[i], basis[j]
-        qi, ci = _sub_exp(l, li), gi[li]
-        s = {_add_exp(e, qi): c / ci for e, c in gi.items()}
-        _eliminate(s, gj, _sub_exp(l, lj), 1 / gj[lj])
-        r = _reduce(s, basis, leads, masks, key)
+        ci = gi[li]
+        s = {m * qi: c / ci for m, c in gi.items()}
+        _eliminate(s, gj, _quotient(l, lj), 1 / gj[lj])
+        r = _reduce(s, basis, leads, masks, bits)
         if not r:
             continue
-        lr = max(r, key=key)
-        if sum(lr) > MAX_TOTAL_DEGREE:
+        lr = min(r, key=grlex_rank)
+        if lr.degree > MAX_TOTAL_DEGREE:
             raise ResourceCapExceeded(
-                f"degree {sum(lr)} exceeds cap {MAX_TOTAL_DEGREE}")
+                f"degree {lr.degree} exceeds cap {MAX_TOTAL_DEGREE}")
         basis.append(primitive_terms(r, lr))
         leads.append(lr)
-        masks.append(_mask(lr))
+        masks.append(_mask(lr, bits))
         if len(basis) > MAX_BASIS_SIZE:
             raise ResourceCapExceeded(
                 f"basis size exceeds cap {MAX_BASIS_SIZE}")
         push_pairs(len(basis) - 1)
 
-    # interreduce to the unique reduced basis
+    # interreduce to the unique reduced basis, from the smallest lead up
     keep = []
     for i, lg in enumerate(leads):
         outside = ~masks[i]
@@ -271,16 +265,16 @@ def buchberger(generators: list[Polynomial],
                    _divides(leads[j], lg) and (leads[j] != lg or j < i)
                    for j in range(len(leads))):
             keep.append(i)
+    keep.sort(key=lambda i: grlex_rank(leads[i]), reverse=True)
     final = []
     for i in keep:
         others = [t for t in keep if t != i]
         r = _reduce(basis[i], [basis[t] for t in others],
                     [leads[t] for t in others], [masks[t] for t in others],
-                    key)
+                    bits)
         c = r[leads[i]]
-        final.append({e: v / c for e, v in r.items()})
-    final.sort(key=lambda g: key(max(g, key=key)))
-    return GroebnerBasis(variables, final, key)
+        final.append({m: v / c for m, v in r.items()})
+    return GroebnerBasis(variables, final)
 
 
 def plucker_universe(k: int, n: int, colors: list[int] | None = None,

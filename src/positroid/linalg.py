@@ -1,5 +1,5 @@
-"""Exact linear algebra over the rationals: echelon form, span test, rank,
-pivot columns and determinant.
+"""Exact linear algebra over the rationals: echelon form, span test, rank
+and determinant.
 
 A matrix is given by its rows, each either dense, a sequence of entries,
 or sparse, a mapping {column: entry} that may leave zeros out; entries are
@@ -7,10 +7,11 @@ ints or Fractions. All rest on one fraction-free row reduction, `_reduce`,
 which reduces one sparse integer row against rows kept so far, dividing it
 by its content after every step. `echelon` keeps each row that does not
 reduce to zero, `in_span` asks whether a row does against a given echelon,
-and `rank`, `pivots` and `det` read the kept rows of `echelon`. A kept row
-is primitive and proportional to a vector of minors of the input (with its
-row denominators cleared), so no entry exceeds the Hadamard bound of the
-nonzero input rows, the product of their Euclidean norms.
+and `rank` and `det` read the kept rows of `echelon`. The kept rows are
+keyed by pivot, so the pivot columns are `sorted(echelon(rows))`. A kept
+row is primitive and proportional to a vector of minors of the input (with
+its row denominators cleared), so no entry exceeds the Hadamard bound of
+the nonzero input rows, the product of their Euclidean norms.
 """
 
 from __future__ import annotations
@@ -92,12 +93,6 @@ def rank(rows: Sequence[_Row]) -> int:
     """Exact rank of a rational matrix, given as dense rows [entry, ...]
     or sparse rows {column: entry}, or a mix of both."""
     return len(echelon(rows))
-
-
-def pivots(rows: Sequence[_Row]) -> list[int]:
-    """The pivot columns (0-based) of an echelon form of the rows: column c
-    is a pivot when it is not in the span of the columns before it."""
-    return sorted(echelon(rows))
 
 
 def det(rows: Sequence[_Row]) -> Fraction:

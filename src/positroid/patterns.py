@@ -168,18 +168,17 @@ def pattern_from_anchor(S: AnchorSet) -> JugglingPattern:
     return JugglingPattern(S.k, n, entries)
 
 
-DEFAULT_ENUMERATION_BOUND = 8
+ENUMERATION_BOUND = 8
 
 
-def enumerate_patterns(k: int, n: int,
-                       max_n: int = DEFAULT_ENUMERATION_BOUND
-                       ) -> list[JugglingPattern]:
+def enumerate_patterns(k: int, n: int) -> list[JugglingPattern]:
     """All (k, n)-juggling patterns by backtracking, in lexicographic order
     on the flattened tuple of sorted subsets."""
     if not 0 < k < n:
         raise PatternError(f"need 0 < k < n, got k={k}, n={n}")
-    if n > max_n:
-        raise PatternError(f"n={n} exceeds the enumeration bound {max_n}")
+    if n > ENUMERATION_BOUND:
+        raise PatternError(
+            f"n={n} exceeds the enumeration bound {ENUMERATION_BOUND}")
     subsets = [c for c in combinations(range(1, n + 1), k)]
 
     def successors(prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -13,10 +13,10 @@ concatenation of the factors, and a zero or negative exponent cannot be
 stored. `Monomial.exps`, the (variable, exponent) pairs, is a derived view
 for the text and JSON formats.
 
-This module owns the monomial order, grlex (`grlex_key` on dense exponent
-tuples, used by `groebner`, and its sparse form on `Monomial`), and the
-normal form of a generator: primitive with a positive leading coefficient
-(`primitive_terms`), deduplicated by `dedup`.
+This module owns the monomial order, grlex, defined once by `grlex_rank` on
+a `Monomial` and read by `groebner`, and the normal form of a generator:
+primitive with a positive leading coefficient (`primitive_terms`),
+deduplicated by `dedup`.
 """
 
 from __future__ import annotations
@@ -221,14 +221,14 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """The terms from the grlex-largest monomial down."""
-        return sorted(self.terms.items(), key=lambda mc: _grlex_rank(mc[0]))
+        return sorted(self.terms.items(), key=lambda mc: grlex_rank(mc[0]))
 
     def primitive(self) -> "Polynomial":
         """Clear content and make the leading coefficient positive."""
         if not self.terms:
             return self
         return Polynomial._of(primitive_terms(
-            self.terms, min(self.terms, key=_grlex_rank)))
+            self.terms, min(self.terms, key=grlex_rank)))
 
     def __repr__(self):
         return f"Polynomial({poly_to_text(self)!r})"
@@ -244,23 +244,14 @@ def _add_term(terms: dict, m: Monomial, c: Fraction) -> None:
         terms.pop(m, None)
 
 
-def grlex_key(nplucker: int):
-    """The grlex key on dense exponent tuples over a variable universe that
-    lists the Pluecker variables in variable order, then epsilon if
-    present: degree in the Pluecker variables, then the exponents
-    lexicographically (more of an earlier variable is larger), so that the
-    epsilon exponent decides only between equal Pluecker parts. Larger key
-    = larger monomial."""
-    def key(e):
-        return (sum(e[:nplucker]), e)
-    return key
-
-
-def _grlex_rank(m: Monomial):
-    # `grlex_key` on a sparse monomial, reversed: the smallest rank is the
-    # largest monomial. With equal degrees, the Pluecker factors (those
-    # before epsilon, which sorts last) are smaller exactly when the
-    # exponent vector is lexicographically larger.
+def grlex_rank(m: Monomial):
+    """The rank of m in grlex, the one monomial order: the smallest rank
+    is the largest monomial. A monomial is larger when its Pluecker degree
+    is; with equal Pluecker degrees, when its Pluecker exponent vector is
+    lexicographically larger (more of an earlier variable), which is when
+    its sorted Pluecker factors (those before epsilon, which sorts last)
+    are smaller; and with equal Pluecker parts, when its epsilon exponent
+    is larger."""
     e = m.epsilon_exponent()
     seq = m.factors[:len(m.factors) - e]
     return (-len(seq), seq, -e)

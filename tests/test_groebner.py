@@ -200,17 +200,39 @@ class TestDivisionProperties:
         ours = {frozenset(_as_dict(g, vars_).items()) for g in gb.polynomials}
         assert ours == _sympy_grlex_basis(terms, len(vars_))
 
+    @settings(max_examples=40, deadline=None)
+    @given(ideal_and_vars)
+    def test_matches_sympy_with_epsilon_last(self, case):
+        # The last variable is epsilon, so the epsilon exponent decides
+        # only between equal parts in the others.
+        terms, vars_ = case
+        vars_ = vars_[:-1] + (EPSILON,)
+        gb = buchberger([_to_poly(t, vars_) for t in terms], vars_)
+        ours = {frozenset(_as_dict(g, vars_).items()) for g in gb.polynomials}
+        assert ours == _sympy_grlex_basis(terms, len(vars_),
+                                          _epsilon_last_order())
 
-def _sympy_grlex_basis(terms, nvars):
-    """sympy's reduced grlex basis of the polynomials given as {exponent
-    tuple: coefficient} over `nvars` variables, each element as the
-    frozenset of its (exponent tuple, Fraction) terms."""
+
+def _epsilon_last_order():
+    """grlex over S[epsilon] as a sympy order on exponent tuples with
+    epsilon last: grlex in the Pluecker exponents first, and the epsilon
+    exponent only between equal Pluecker parts."""
+    orderings = pytest.importorskip("sympy").polys.orderings
+    return orderings.ProductOrder((orderings.grlex, lambda e: e[:-1]),
+                                  (orderings.lex, lambda e: e[-1:]))
+
+
+def _sympy_grlex_basis(terms, nvars, order="grlex"):
+    """sympy's reduced basis, in grlex or the given sympy monomial order,
+    of the polynomials given as {exponent tuple: coefficient} over `nvars`
+    variables, each element as the frozenset of its (exponent tuple,
+    Fraction) terms."""
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols(f"x1:{nvars + 1}")
     exprs = [sum(sympy.Rational(c.numerator, c.denominator)
                  * sympy.prod(x ** e for x, e in zip(xs, exp))
                  for exp, c in t.items()) for t in terms]
-    reference = sympy.groebner(exprs, *xs, order="grlex", domain="QQ")
+    reference = sympy.groebner(exprs, *xs, order=order, domain="QQ")
     return {frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in p.terms())
             for p in reference.polys}
 
@@ -260,3 +282,14 @@ class TestPositroidBases:
         ours = {frozenset(_as_dict(g, vars_).items()) for g in gb.polynomials}
         gens = [_as_dict(g, vars_) for g in ideal.generators]
         assert ours == _sympy_grlex_basis(gens, len(vars_))
+
+    @pytest.mark.parametrize("pattern", ["1,1,1", "1,1,1,1", "12|12|12"])
+    def test_epsilon_basis_matches_sympy(self, pattern):
+        ideal = global_positroid_ideal(parse_pattern(pattern))
+        gb = ideal.groebner()
+        vars_ = gb.variables
+        assert vars_[-1] == EPSILON
+        ours = {frozenset(_as_dict(g, vars_).items()) for g in gb.polynomials}
+        gens = [_as_dict(g, vars_) for g in ideal.generators]
+        assert ours == _sympy_grlex_basis(gens, len(vars_),
+                                          _epsilon_last_order())

@@ -10,7 +10,6 @@ from positroid.poly import (
     EPSILON,
     Monomial,
     Polynomial,
-    grlex_key,
     parse_polynomial,
     parse_polynomials,
     plucker_var,
@@ -126,10 +125,13 @@ class TestMonomialOrder:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(1, 3), (2, 4), (2, 5)]), st.data())
     def test_sorted_terms_descend_under_dense_grlex(self, kn, data):
-        # The sparse order of sorted_terms and primitive is the dense key of
-        # the Groebner engine, read over the same variable universe.
+        # The sparse order of sorted_terms and primitive is grlex as its
+        # textbook definition reads on dense exponent vectors over the
+        # variable universe, epsilon last: the Pluecker degree, then the
+        # exponent vector lexicographically (more of an earlier variable is
+        # larger), so that the epsilon exponent decides only between equal
+        # Pluecker parts. A larger key is a larger monomial.
         universe = plucker_universe(*kn, with_epsilon=True)
-        key = grlex_key(len(universe) - 1)
         index = {v: i for i, v in enumerate(universe)}
         # Few Pluecker parts, each with several epsilon exponents, so that
         # both the degree-lex part and the epsilon tie-break decide.
@@ -151,7 +153,7 @@ class TestMonomialOrder:
             e = [0] * len(universe)
             for v, x in m.exps:
                 e[index[v]] = x
-            return key(tuple(e))
+            return sum(e[:-1]), e
 
         keys = [dense(m) for m, _ in p.sorted_terms()]
         assert all(a > b for a, b in zip(keys, keys[1:]))
