@@ -158,17 +158,14 @@ def cmd_patterns(k, n):
 def cmd_ideal(pattern, epsilon, as_json, out):
     """Print the generators of the global positroid ideal."""
     J = parse_pattern(pattern)
-    ideal = global_positroid_ideal(J)
-    if epsilon is not None:
-        eps = _parse_fraction(epsilon)
-        ideal = ideal.specialize(eps)
-        epsilon = str(eps)
+    eps = None if epsilon is None else _parse_fraction(epsilon)
+    ideal = global_positroid_ideal(J, eps)
     if as_json:
         payload = {
             "schema": SCHEMA,
             "task": "ideal",
             "parameters": {"pattern": str(J), "k": J.k, "n": J.n,
-                           "epsilon": epsilon},
+                           "epsilon": None if eps is None else str(eps)},
             "generators": [poly_to_json(g) for g in ideal.generators],
         }
         text = json.dumps(payload, sort_keys=True, indent=2)
@@ -188,10 +185,9 @@ def cmd_hilbert(pattern, multidegree, epsilon_list):
     J = parse_pattern(pattern)
     m = _parse_multidegree(multidegree, J.n)
     epsilons = _parse_epsilons(epsilon_list)
-    ideal = global_positroid_ideal(J)
     report = _pattern_report("hilbert", J, multidegree=list(m),
                              epsilons=[str(e) for e in epsilons])
-    dims = {str(eps): graded_component_dim(ideal.specialize(eps), m)
+    dims = {str(eps): graded_component_dim(global_positroid_ideal(J, eps), m)
             for eps in epsilons}
     report.add_case("dims", len(set(dims.values())) == 1, dims=dims)
     return report
@@ -222,8 +218,8 @@ def cmd_flatness(k, n, pattern, sweep_all, max_degree, epsilon_list):
     for J in patterns:
         if (J.k, J.n) != (k, n):
             raise click.UsageError(f"pattern {J} is not a ({k},{n}) pattern")
-        ideal = global_positroid_ideal(J)
-        specialized = {eps: ideal.specialize(eps) for eps in epsilons}
+        specialized = {eps: global_positroid_ideal(J, eps)
+                       for eps in epsilons}
         for m in _multidegrees_up_to(n, max_degree):
             key = f"{J}|m={','.join(map(str, m))}"
             try:
@@ -263,8 +259,7 @@ def cmd_dimension(pattern, epsilon):
     """Projective dimension of the fiber at epsilon (Krull minus n)."""
     J = parse_pattern(pattern)
     eps = _parse_fraction(epsilon)
-    ideal = global_positroid_ideal(J).specialize(eps)
-    krull = ideal.groebner().krull_dimension()
+    krull = global_positroid_ideal(J, eps).groebner().krull_dimension()
     report = _pattern_report("dim", J, epsilon=str(eps))
     report.add_case("dimension", True, krull=krull,
                     projective_dimension=krull - J.n)

@@ -10,10 +10,17 @@ readings are the eps-twisted shift relations. The linear Schubert vanishing
 monomials, closed under the shifts of the quiver map, are the only
 generators that depend on the pattern; `groebner.Ideal` drops the terms in
 their variables from the others.
+
+A flatness check asks for the ideal of every pattern of one (k, n) at the
+same few values of eps. `global_positroid_ideal(J, eps)` builds the
+specialized ideal directly: the pattern-free generators are specialized
+and deduplicated once per (k, n, eps), and the ideal's normal form
+renormalizes only the generators that a vanishing variable touches.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -56,10 +63,20 @@ def schubert_vanishing_generators(J: JugglingPattern) -> list[Polynomial]:
     ones-locus condition of `k1basis.is_admissible`.
     """
     n = J.n
-    return [Polynomial.plucker(a, I.elements)
-            for a in range(n) for I in all_subsets(J.k, n)
-            if any(not J.entries[(a + c) % n].leq(I.shift(c))
-                   for c in range(n))]
+    entries = [E.elements for E in J.entries]
+    # Some c with J_(a+c) not <= I - c, componentwise.
+    return [Polynomial.plucker(a, I)
+            for a in range(n) for I, shifts in _shifted_subsets(J.k, n)
+            if any(any(j > i for j, i in zip(entries[(a + c) % n], Ic))
+                   for c, Ic in enumerate(shifts))]
+
+
+@lru_cache(maxsize=None)
+def _shifted_subsets(k: int, n: int) -> tuple:
+    # The (I, (I - 0, ..., I - (n-1))) element tuples of every k-subset I
+    # of [n] in lex order, shifted once per (k, n).
+    return tuple((I.elements, tuple(I.shift(c).elements for c in range(n)))
+                 for I in all_subsets(k, n))
 
 
 def transport(a: int, I: KSubset, c: int) -> tuple[int, Polynomial]:
@@ -119,9 +136,20 @@ def pattern_free_generators(k: int, n: int) -> tuple[Polynomial, ...]:
     return tuple(dedup(gens))
 
 
-def global_positroid_ideal(J: JugglingPattern) -> Ideal:
+# The specialized families of the last 8 (k, n, eps) triples: a flatness
+# sweep reads one (k, n) at a few values of eps.
+@lru_cache(maxsize=8)
+def _specialized_pattern_free_generators(k: int, n: int, epsilon: Fraction
+                                         ) -> tuple[Polynomial, ...]:
+    return tuple(dedup(g.substitute_epsilon(epsilon)
+                       for g in pattern_free_generators(k, n)))
+
+
+def global_positroid_ideal(J: JugglingPattern, epsilon=None) -> Ideal:
     """The ideal generated by the shift-closed Schubert vanishing monomials
-    of J and the pattern-free generators.
+    of J and the pattern-free generators; with a rational `epsilon`, the
+    ideal specialized at it, equal to `global_positroid_ideal(J)
+    .specialize(epsilon)` with the generators in the same order.
 
     The vanishing monomials with a shift c >= 1 lie in the saturation of
     the ideal generated by the unshifted ones and the shift relations, with
@@ -130,5 +158,8 @@ def global_positroid_ideal(J: JugglingPattern) -> Ideal:
     entry, so its graded dimensions there describe no property of the
     fibers. `Ideal` drops their variables from the other generators.
     """
-    return Ideal(J.k, J.n, tuple(schubert_vanishing_generators(J))
-                 + pattern_free_generators(J.k, J.n))
+    schubert = tuple(schubert_vanishing_generators(J))
+    if epsilon is None:
+        return Ideal(J.k, J.n, schubert + pattern_free_generators(J.k, J.n))
+    return Ideal(J.k, J.n, schubert + _specialized_pattern_free_generators(
+        J.k, J.n, Fraction(epsilon)), has_epsilon=False)

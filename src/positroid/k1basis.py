@@ -187,9 +187,8 @@ def verify_basis(J: JugglingPattern, m: tuple[int, ...],
     mons = enumerate_admissible(J, m)
     count = len(mons)
     binomial = expected_count(J, m)
-    ideal = ideals.global_positroid_ideal(J)
     dims = {str(Fraction(eps)): hilbert.graded_component_dim(
-        ideal.specialize(eps), m) for eps in epsilons}
+        ideals.global_positroid_ideal(J, eps), m) for eps in epsilons}
 
     points = sample_points(J, count + 3, eps=1)
     matrix = [[mon.evaluate(pt) for mon in mons] for pt in points]

@@ -118,6 +118,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, v: Var, exp: int = 1) -> "Polynomial":
+        """v^exp; ValueError for exp < 0, which no polynomial is."""
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} of {v!r}")
         return cls({Monomial([v] * exp): Fraction(1)})
 
     @classmethod
@@ -180,9 +183,11 @@ class Polynomial:
         return {v for m in self.terms for v in m.factors}
 
     def without(self, variables: AbstractSet[Var]) -> "Polynomial":
-        """The terms that contain no variable of `variables`."""
-        return Polynomial._of({m: c for m, c in self.terms.items()
-                               if variables.isdisjoint(m.factors)})
+        """The terms that contain no variable of `variables`: self itself
+        when no term drops."""
+        kept = {m: c for m, c in self.terms.items()
+                if variables.isdisjoint(m.factors)}
+        return self if len(kept) == len(self.terms) else Polynomial._of(kept)
 
     def total_degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)
@@ -224,11 +229,12 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda mc: grlex_rank(mc[0]))
 
     def primitive(self) -> "Polynomial":
-        """Clear content and make the leading coefficient positive."""
+        """Clear content and make the leading coefficient positive: self
+        itself when it is primitive already."""
         if not self.terms:
             return self
-        return Polynomial._of(primitive_terms(
-            self.terms, min(self.terms, key=grlex_rank)))
+        terms = primitive_terms(self.terms, min(self.terms, key=grlex_rank))
+        return self if terms is self.terms else Polynomial._of(terms)
 
     def __repr__(self):
         return f"Polynomial({poly_to_text(self)!r})"
@@ -261,11 +267,14 @@ def primitive_terms(terms: dict, lead) -> dict:
     """`terms` divided by their content, signed so that the coefficient of
     `lead` is positive. The content is the positive rational whose
     quotients with the coefficients are coprime integers: the gcd of the
-    numerators over the lcm of the denominators."""
+    numerators over the lcm of the denominators. `terms` itself when the
+    content is 1 and the coefficient of `lead` positive."""
     num, den = 0, 1
     for c in terms.values():
         num = gcd(num, c.numerator)
         den = lcm(den, c.denominator)
+    if num == den == 1 and terms[lead] > 0:
+        return terms
     c = Fraction(num if terms[lead] > 0 else -num, den)
     return {m: v / c for m, v in terms.items()}
 
@@ -384,10 +393,22 @@ def poly_to_json(p: Polynomial) -> list[dict]:
 
 
 def poly_from_json(data: list[dict]) -> Polynomial:
+    """The polynomial of `poly_to_json`'s form: a list of terms
+    {"coeff": "p/q", "exps": {variable name: int >= 1}}. ValueError on any
+    other shape."""
+    if type(data) is not list:
+        raise ValueError(f"expected a list of terms, got {data!r}")
     terms: dict[Monomial, Fraction] = {}
     for term in data:
+        if (type(term) is not dict or set(term) != {"coeff", "exps"}
+                or type(term["coeff"]) is not str
+                or type(term["exps"]) is not dict):
+            raise ValueError(
+                f'expected {{"coeff": "p/q", "exps": {{...}}}}, got {term!r}')
         factors: list[Var] = []
         for name, e in term["exps"].items():
+            if type(name) is not str:
+                raise ValueError(f"variable name {name!r} is not a string")
             if type(e) is not int or e < 1:
                 raise ValueError(f"exponent of {name!r} not >= 1: {e!r}")
             v, extra = _parse_factor(name)

@@ -122,6 +122,19 @@ class TestIdealWrapper:
         assert not sp.has_epsilon
         assert all(EPSILON not in p.variables() for p in sp.generators)
 
+    def test_normal_generators_pass_through(self):
+        # A primitive generator that no vanishing variable touches is kept
+        # as the same object; other input is still normalized.
+        g = D(1, 1) * D(2, 2) - D(1, 2) * D(2, 1)
+        ideal = Ideal(1, 3, (D(0, 1), g), has_epsilon=False)
+        assert ideal.generators[1] is g
+        ideal = Ideal(1, 3, (D(0, 1), g.scale(-2)), has_epsilon=False)
+        assert ideal.generators == (D(0, 1), g)
+        # Once D0_1 vanishes, D0_1 + D0_2 is D0_2, which vanishes too.
+        ideal = Ideal(1, 3, (D(0, 1), D(0, 1) + D(0, 2)), has_epsilon=False)
+        assert ideal.vanishing == {plucker_var(0, (1,)), plucker_var(0, (2,))}
+        assert ideal.generators == (D(0, 1), D(0, 2))
+
 
 # -- properties of the division routine on small random ideals ---------------
 

@@ -278,6 +278,22 @@ class TestGlobalIdeal:
         assert not sp.has_epsilon
         assert all(EPSILON not in g.variables() for g in sp.generators)
 
+    @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5),
+                                     (3, 5)])
+    def test_direct_specialization_matches_specialize(self, k, n):
+        # The same generators in the same order, so `ideal --epsilon` and
+        # every graded dimension are unchanged, and the same vanishing set.
+        for J in enumerate_patterns(k, n):
+            ideal = global_positroid_ideal(J)
+            for eps in (0, 1, 2, Fraction(-1, 2)):
+                direct = global_positroid_ideal(J, eps)
+                expected = ideal.specialize(eps)
+                assert direct.generators == expected.generators, (str(J), eps)
+                assert direct.vanishing == expected.vanishing, (str(J), eps)
+                assert ([poly_to_text(g) for g in direct.generators]
+                        == [poly_to_text(g) for g in expected.generators])
+                assert not direct.has_epsilon
+
 
 def _relabeled(g, n):
     # g with every color a relabeled a - 1, made primitive again: the

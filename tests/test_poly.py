@@ -120,6 +120,25 @@ class TestEpsilonAndEvaluation:
         coeffs = sorted(prim.terms.values())
         assert coeffs == [Fraction(-1), Fraction(1)]
 
+    def test_normal_input_passes_through(self):
+        # A primitive polynomial with a positive lead, and one that keeps
+        # every term, come back as the same object.
+        p = D(0, 1) * D(1, 2) - D(0, 2) * D(1, 1)
+        assert p.primitive() is p
+        assert p.without({plucker_var(0, (3,))}) is p
+        assert p.without({plucker_var(0, (1,))}) == -(D(0, 2) * D(1, 1))
+        assert p.scale(-2).primitive() == p
+        assert (-p).primitive() == p
+        assert p.scale(Fraction(1, 3)).primitive() == p
+
+    @pytest.mark.parametrize("make", [
+        lambda e: Polynomial.variable(plucker_var(0, (1,)), e),
+        Polynomial.epsilon])
+    def test_negative_exponent_raises(self, make):
+        assert make(0) == Polynomial.constant(1)
+        with pytest.raises(ValueError):
+            make(-1)
+
 
 class TestMonomialOrder:
     @settings(max_examples=60, deadline=None)
@@ -220,5 +239,19 @@ class TestJsonFormat:
     @pytest.mark.parametrize("exponent", [True, 1.0, "1", 0, -1])
     def test_json_exponent_is_a_positive_int(self, exponent):
         blob = [{"coeff": "1/1", "exps": {"D0_12": exponent}}]
+        with pytest.raises(ValueError):
+            poly_from_json(blob)
+
+    @pytest.mark.parametrize("blob", [
+        [{"coeff": "1/1", "exps": [["D0_12", 1]]}],
+        [{"coeff": 1, "exps": {"D0_12": 1}}],
+        [{"coeff": "1/1"}],
+        [{"exps": {"D0_12": 1}}],
+        [{"coeff": "1/1", "exps": {"D0_12": 1}, "degree": 1}],
+        [{"coeff": "1/1", "exps": {1: 1}}],
+        [["1/1", {"D0_12": 1}]],
+        {"coeff": "1/1", "exps": {"D0_12": 1}},
+    ])
+    def test_json_malformed_term_raises(self, blob):
         with pytest.raises(ValueError):
             poly_from_json(blob)
