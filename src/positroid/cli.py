@@ -11,10 +11,11 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 import click
 
-from . import k1basis
+from . import groebner, k1basis
 from .fibers import FiberError, FiberPoint, in_positroid_fiber
 from .groebner import ResourceCapExceeded
 from .hilbert import graded_component_dim
@@ -85,10 +86,15 @@ def _multidegrees_up_to(n: int, bound: int):
 
 
 def _write(text: str, out) -> None:
-    """Write `text` to the file `out`, or echo it when `out` is None."""
+    """Write `text` to the file `out`, or echo it when `out` is None. A file
+    that cannot be written (a missing directory, a directory) is a usage
+    error."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write {out!r}: {exc.strerror}")
     else:
         click.echo(text)
 
@@ -211,6 +217,10 @@ def cmd_flatness(k, n, pattern, sweep_all, max_degree, epsilon_list):
         raise click.UsageError("give exactly one of PATTERN and --all")
     patterns = ([parse_pattern(pattern)] if pattern
                 else enumerate_patterns(k, n))
+    cases = len(patterns) * comb(max_degree + n, n)
+    if cases > groebner.MAX_FLATNESS_CASES:
+        raise ResourceCapExceeded(
+            f"{cases} flatness cases exceed cap {groebner.MAX_FLATNESS_CASES}")
     report = VerificationReport(
         "flatness", {"k": k, "n": n, "max_degree": max_degree,
                      "epsilons": [str(e) for e in epsilons],

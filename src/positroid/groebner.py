@@ -12,12 +12,18 @@ S-pairs sit in a heap keyed by the degree of their lcm, and a pair of the
 lowest lcm degree is reduced first. A pair is dropped unreduced by
 Buchberger's product criterion (coprime leading monomials) or chain
 criterion (a third leading monomial divides the lcm and both of its pairs
-are done). Each leading monomial carries the bitmask of its support, one
-bit per variable of the universe, and every divisibility test against a
-leading monomial (the chain criterion, the reducer search of a division
-and the final interreduction) compares masks before factors (Bachmann
-and Schoenemann, "Monomial representations for Groebner bases
-computations", ISSAC 1998).
+are done).
+
+A `GroebnerBasis` owns the growing basis: its elements, their leading
+monomials and the bitmask of each lead's support, one bit per variable of
+the universe, kept in step. Every element enters through `_add`, the one
+check of the basis caps. Every test of the leads against a monomial (the
+chain criterion, the reducer search of the division `_reduce` and the
+interreduction) is the one scan `_divisors`, which compares masks before
+factors (Bachmann and Schoenemann, "Monomial representations for Groebner
+bases computations", ISSAC 1998). The interreduction is one pass from the
+smallest lead up into a new basis: an element whose lead a kept lead
+divides is dropped, and every other is reduced by the ones kept before it.
 
 One elimination step, f -= c x^q g (`_eliminate`), is the step of the
 division `_reduce` and also builds the S-polynomial of g_i and g_j:
@@ -42,13 +48,15 @@ class ResourceCapExceeded(RuntimeError):
 
 
 # The resource limits of every computation, one fixed policy: the largest
-# working polynomial of a division, the largest Groebner basis, the largest
-# total degree of a generator or basis element, and the largest graded
-# component `hilbert` builds a matrix for.
+# working polynomial of a division or basis element, the largest Groebner
+# basis, the largest total degree of a term of a basis element, the largest
+# graded component `hilbert` builds a matrix for, and the most
+# (pattern, multidegree) cases one `flatness` run may hold.
 MAX_TERMS = 200000
 MAX_BASIS_SIZE = 20000
 MAX_TOTAL_DEGREE = 80
 MAX_COMPONENT_MONOMIALS = 200000
+MAX_FLATNESS_CASES = 100000
 
 
 def _check_universe(p: Polynomial, bits: dict[Var, int]) -> None:
@@ -94,45 +102,19 @@ def _eliminate(f: dict, g: dict, q: Monomial, factor) -> None:
             f.pop(t, None)
 
 
-def _reduce(f: dict, basis: list[dict], leads: list[Monomial],
-            masks: list[int], bits: dict[Var, int]) -> dict:
-    """The remainder of f under the division algorithm by `basis`, where
-    leads[i] is the leading monomial of basis[i] and masks[i] its support
-    mask: no term of the result is divisible by any leading monomial. The
-    first basis element whose lead divides the current leading term is
-    used. Raises ResourceCapExceeded when the working polynomial exceeds
-    MAX_TERMS terms."""
-    f = dict(f)
-    remainder: dict = {}
-    while f:
-        lead = min(f, key=grlex_rank)
-        outside = ~_mask(lead, bits)
-        for g, lg, mg in zip(basis, leads, masks):
-            if not mg & outside and _divides(lg, lead):
-                break
-        else:
-            remainder[lead] = f.pop(lead)
-            continue
-        _eliminate(f, g, _quotient(lead, lg), f[lead] / g[lg])
-        if len(f) > MAX_TERMS:
-            raise ResourceCapExceeded(
-                f"term count {len(f)} exceeds cap {MAX_TERMS}")
-    return remainder
-
-
-def _bits(variables: tuple[Var, ...]) -> dict[Var, int]:
-    return {v: 1 << i for i, v in enumerate(variables)}
-
-
 class GroebnerBasis:
-    """A reduced Groebner basis over a fixed ordered variable universe."""
+    """A growing, and once `buchberger` returns it reduced, Groebner basis
+    over a fixed ordered variable universe. It owns its elements, their
+    leading monomials and the support masks of those, kept in step: every
+    element enters through `_add`, every lead-divides-monomial test is
+    `_divisors` and every division is `_reduce`."""
 
-    def __init__(self, variables: tuple[Var, ...], basis: list[dict]):
+    def __init__(self, variables: tuple[Var, ...]):
         self.variables = variables
-        self._bits = _bits(variables)
-        self._basis = basis
-        self._leads = [min(g, key=grlex_rank) for g in basis]
-        self._masks = [_mask(m, self._bits) for m in self._leads]
+        self._bits = {v: 1 << i for i, v in enumerate(variables)}
+        self._basis: list[dict] = []
+        self._leads: list[Monomial] = []
+        self._masks: list[int] = []
 
     @property
     def polynomials(self) -> list[Polynomial]:
@@ -141,11 +123,52 @@ class GroebnerBasis:
     def leading_monomials(self) -> list[Monomial]:
         return list(self._leads)
 
+    def _add(self, g: dict, lead: Monomial) -> None:
+        # The one check of the basis caps: the terms of g, the total degree
+        # of every term of g, epsilon included, and the basis size.
+        for what, value, cap in (
+                ("term count", len(g), MAX_TERMS),
+                ("degree", max(m.degree for m in g), MAX_TOTAL_DEGREE),
+                ("basis size", len(self._basis) + 1, MAX_BASIS_SIZE)):
+            if value > cap:
+                raise ResourceCapExceeded(
+                    f"{what} {value} of a basis element exceeds cap {cap}")
+        self._basis.append(g)
+        self._leads.append(lead)
+        self._masks.append(_mask(lead, self._bits))
+
+    def _divisors(self, m: Monomial):
+        """The indices, in order, of the elements whose lead divides m."""
+        leads, outside = self._leads, ~_mask(m, self._bits)
+        for t, mg in enumerate(self._masks):
+            if not mg & outside and _divides(leads[t], m):
+                yield t
+
+    def _reduce(self, f: dict) -> dict:
+        """The remainder of f under the division algorithm: no term of the
+        result is divisible by a lead. The first element whose lead divides
+        the current leading term is used. Raises ResourceCapExceeded when
+        the working polynomial exceeds MAX_TERMS terms."""
+        basis, leads, divisors = self._basis, self._leads, self._divisors
+        f = dict(f)
+        remainder: dict = {}
+        while f:
+            lead = min(f, key=grlex_rank)
+            t = next(divisors(lead), None)
+            if t is None:
+                remainder[lead] = f.pop(lead)
+                continue
+            g, lg = basis[t], leads[t]
+            _eliminate(f, g, _quotient(lead, lg), f[lead] / g[lg])
+            if len(f) > MAX_TERMS:
+                raise ResourceCapExceeded(
+                    f"term count {len(f)} exceeds cap {MAX_TERMS}")
+        return remainder
+
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The normal form of p."""
         _check_universe(p, self._bits)
-        return Polynomial(_reduce(p.terms, self._basis, self._leads,
-                                  self._masks, self._bits))
+        return Polynomial(self._reduce(p.terms))
 
     def krull_dimension(self) -> int:
         """Dimension of the quotient: maximum number of variables whose
@@ -181,20 +204,11 @@ def buchberger(generators: list[Polynomial],
                variables: tuple[Var, ...]) -> GroebnerBasis:
     """Compute the reduced grlex Groebner basis of the ideal generated by
     `generators` in the given ordered variable universe."""
-    bits = _bits(variables)
-    basis: list[dict] = []
+    gb = GroebnerBasis(variables)
     for p in dedup(generators):
-        _check_universe(p, bits)
-        if len(p.terms) > MAX_TERMS:
-            raise ResourceCapExceeded(
-                f"generator has {len(p.terms)} terms, cap {MAX_TERMS}")
-        deg = p.total_degree()
-        if deg > MAX_TOTAL_DEGREE:
-            raise ResourceCapExceeded(
-                f"generator degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
-        basis.append(p.terms)
-    leads = [min(g, key=grlex_rank) for g in basis]
-    masks = [_mask(m, bits) for m in leads]
+        _check_universe(p, gb._bits)
+        gb._add(p.terms, min(p.terms, key=grlex_rank))
+    basis, leads, masks = gb._basis, gb._leads, gb._masks
 
     # Normal selection: the pending S-pairs (i, j), i > j, sit in a heap
     # by the degree of their lcm, ties broken on (i, j); `pairs` holds the
@@ -220,21 +234,11 @@ def buchberger(generators: list[Polynomial],
         li, lj = leads[i], leads[j]
         qi = _quotient(lj, li)
         l = li * qi
-        # chain criterion: an intermediate basis element dividing the lcm
-        # with both its pairs handled lets us skip this pair; the support
-        # of the lcm is the union of the two supports
-        outside = ~(masks[i] | masks[j])
-        skip = False
-        for t in range(len(basis)):
-            if t in (i, j) or masks[t] & outside:
-                continue
-            if _divides(leads[t], l):
-                p1 = (max(i, t), min(i, t))
-                p2 = (max(j, t), min(j, t))
-                if p1 not in pairs and p2 not in pairs:
-                    skip = True
-                    break
-        if skip:
+        # chain criterion: a third element whose lead divides the lcm, with
+        # both its pairs handled, lets us skip this pair
+        if any(t != i and t != j and (max(i, t), min(i, t)) not in pairs
+               and (max(j, t), min(j, t)) not in pairs
+               for t in gb._divisors(l)):
             continue
         # S = (l / l_i) g_i / c_i - (l / l_j) g_j / c_j: the second half is
         # one elimination step of the division.
@@ -242,39 +246,25 @@ def buchberger(generators: list[Polynomial],
         ci = gi[li]
         s = {m * qi: c / ci for m, c in gi.items()}
         _eliminate(s, gj, _quotient(l, lj), 1 / gj[lj])
-        r = _reduce(s, basis, leads, masks, bits)
-        if not r:
-            continue
-        lr = min(r, key=grlex_rank)
-        if lr.degree > MAX_TOTAL_DEGREE:
-            raise ResourceCapExceeded(
-                f"degree {lr.degree} exceeds cap {MAX_TOTAL_DEGREE}")
-        basis.append(primitive_terms(r, lr))
-        leads.append(lr)
-        masks.append(_mask(lr, bits))
-        if len(basis) > MAX_BASIS_SIZE:
-            raise ResourceCapExceeded(
-                f"basis size exceeds cap {MAX_BASIS_SIZE}")
-        push_pairs(len(basis) - 1)
+        r = gb._reduce(s)
+        if r:
+            lr = min(r, key=grlex_rank)
+            gb._add(primitive_terms(r, lr), lr)
+            push_pairs(len(basis) - 1)
 
-    # interreduce to the unique reduced basis, from the smallest lead up
-    keep = []
-    for i, lg in enumerate(leads):
-        outside = ~masks[i]
-        if not any(j != i and not masks[j] & outside and
-                   _divides(leads[j], lg) and (leads[j] != lg or j < i)
-                   for j in range(len(leads))):
-            keep.append(i)
-    keep.sort(key=lambda i: grlex_rank(leads[i]), reverse=True)
-    final = []
-    for i in keep:
-        others = [t for t in keep if t != i]
-        r = _reduce(basis[i], [basis[t] for t in others],
-                    [leads[t] for t in others], [masks[t] for t in others],
-                    bits)
-        c = r[leads[i]]
-        final.append({m: v / c for m, v in r.items()})
-    return GroebnerBasis(variables, final)
+    # Interreduce in one pass from the smallest lead up, equal leads in
+    # index order: an element whose lead a kept lead divides is dropped,
+    # and the others are reduced by the ones kept before them, which hold
+    # every lead that can divide a term below theirs.
+    reduced = GroebnerBasis(variables)
+    for i in sorted(range(len(basis)), key=lambda i: grlex_rank(leads[i]),
+                    reverse=True):
+        lg = leads[i]
+        if next(reduced._divisors(lg), None) is None:
+            r = reduced._reduce(basis[i])
+            c = r[lg]
+            reduced._add({m: v / c for m, v in r.items()}, lg)
+    return reduced
 
 
 def plucker_universe(k: int, n: int, colors: list[int] | None = None,

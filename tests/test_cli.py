@@ -293,11 +293,23 @@ class TestInvalidInput:
         # Items equal as rationals would be merged in the reports.
         ("hilbert", "1,2", "--multidegree", "1,1", "--epsilon-list", "0,1,1"),
         ("flatness", "1", "2", "1,2", "--epsilon-list", "1,1/1"),
+        # About 1.7e14 cases: refused before any is computed.
+        ("flatness", "1", "3", "1,1,1", "--max-degree", "100000"),
+        # An --out file in a missing directory, or a directory itself.
+        ("patterns", "1", "3", "--out", "MISSING"),
+        ("ideal", "1,1,2", "--out", "MISSING"),
+        ("patterns", "1", "3", "--out", "DIR"),
+        ("flatness", "1", "3", "1,1,1", "--out", "DIR"),
     ])
     def test_usage_error_without_traceback(self, args, tmp_path):
         # "POINT" stands for a file holding GOOD_POINT, "POINT:name" for one
-        # holding BAD_POINTS[name].
+        # holding BAD_POINTS[name], "DIR" for a directory and "MISSING" for
+        # a file in a directory that does not exist.
         def arg(a):
+            if a == "DIR":
+                return str(tmp_path)
+            if a == "MISSING":
+                return str(tmp_path / "missing" / "out.txt")
             if not a.startswith("POINT"):
                 return a
             path = tmp_path / "point.json"
@@ -319,6 +331,21 @@ class TestInvalidInput:
         res = run("ideal", "1,x")
         assert res.exit_code == 2, res.output
         assert "bad pattern '1,x'" in res.output
+
+    def test_flatness_case_cap(self, monkeypatch):
+        # One (1,3) pattern has C(|m| + 3, 3) cases at |m| <= max degree:
+        # 4 at degree 1 and 10 at degree 2.
+        monkeypatch.setattr(groebner, "MAX_FLATNESS_CASES", 9)
+        assert run("flatness", "1", "3", "1,1,1", "--max-degree",
+                   "1").exit_code == 0
+        res = run("flatness", "1", "3", "1,1,1", "--max-degree", "2")
+        assert res.exit_code == 2, res.output
+        assert "Error: 10 flatness cases exceed cap 9" in res.output
+
+    def test_largest_documented_sweep_is_under_the_case_cap(self):
+        # README's `flatness 3 6 --all --max-degree 2`.
+        assert len(enumerate_patterns(3, 6)) * 28 == 24724
+        assert 24724 <= groebner.MAX_FLATNESS_CASES
 
     def test_groebner_cap_hit_is_usage_error(self, monkeypatch):
         monkeypatch.setattr(groebner, "MAX_TERMS", 1)

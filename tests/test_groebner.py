@@ -91,6 +91,24 @@ class TestResourceCaps:
         with pytest.raises(ResourceCapExceeded):
             gb.normal_form(x * x * x)
 
+    def test_basis_size_cap_applies_to_generators(self, monkeypatch):
+        # Coprime leads make no S-pair, so only the generators can meet it.
+        x, y = (Polynomial.variable(v) for v in _simple_vars(2))
+        monkeypatch.setattr(groebner, "MAX_BASIS_SIZE", 1)
+        with pytest.raises(ResourceCapExceeded, match="basis size 2"):
+            buchberger([x, y], _simple_vars(2))
+
+    def test_degree_cap_covers_every_term_of_an_s_pair_remainder(
+            self, monkeypatch):
+        # S(g1, g2) = w g1 - y g2 = w z e^2 - y u v is reduced; its lead
+        # y u v has degree 3 and its term w z e^2 degree 4.
+        x, y, z, w, u, v = (Polynomial.variable(t) for t in _simple_vars(6))
+        e = Polynomial.epsilon()
+        monkeypatch.setattr(groebner, "MAX_TOTAL_DEGREE", 3)
+        with pytest.raises(ResourceCapExceeded, match="degree 4"):
+            buchberger([x * y + z * e * e, x * w + u * v],
+                       _simple_vars(6) + (EPSILON,))
+
     def test_degree_cap_triggers(self, monkeypatch):
         vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
         gens = classical_plucker_generators(2, 4, 0)
