@@ -14,8 +14,8 @@ from .fibers import (FiberPoint, Subspace, in_classical_positroid,
                      in_opposite_schubert, in_positroid_fiber,
                      is_subrepresentation, k1_point, plucker_vector,
                      project_and_check, torus_fixed_point)
-from .k1basis import (ColoredMonomial, NormalForm, ZeroInQuotient,
-                      count_admissible, enumerate_admissible, is_admissible,
+from .k1basis import (NormalForm, ZeroInQuotient, count_admissible,
+                      enumerate_admissible, is_admissible,
                       rewrite_to_normal_form, verify_basis)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

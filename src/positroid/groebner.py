@@ -267,14 +267,11 @@ def buchberger(generators: list[Polynomial],
     return reduced
 
 
-def plucker_universe(k: int, n: int, colors: list[int] | None = None,
+def plucker_universe(k: int, n: int,
                      with_epsilon: bool = False) -> tuple[Var, ...]:
     """The ordered variable universe: Pluecker variables by color then
     subset lex, epsilon last."""
-    if colors is None:
-        colors = list(range(n))
-    vs = [("D", a, I.elements) for a in colors for I in all_subsets(k, n)]
-    vs.sort()
+    vs = [("D", a, I.elements) for a in range(n) for I in all_subsets(k, n)]
     if with_epsilon:
         vs.append(EPSILON)
     return tuple(vs)

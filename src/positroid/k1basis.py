@@ -2,19 +2,26 @@
 rewriting system, and basis verification against graded dimensions and the
 evaluation rank on count + 3 points at eps=1 with integer parameters in
 [1, 2^20] from a seeded generator, generic by the Schwartz-Zippel lemma
-(Schwartz, J. ACM 27(4), 1980)."""
+(Schwartz, J. ACM 27(4), 1980).
+
+A k = 1 monomial is a `poly.Monomial` in the variables ("D", b, (i,)).
+A variable sorts by color b, then index i, so the factors of color b read
+off `Monomial.factors` as a sorted index list. The admissible monomials of
+a multidegree are `hilbert.monomials_of_multidegree` outside the ones-locus
+variables, filtered by the descent test, so their enumeration meets
+`MAX_COMPONENT_MONOMIALS` before any monomial is built."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
 from math import comb, prod
 
 from . import hilbert, ideals, linalg
 from .fibers import FiberPoint, k1_point
 from .patterns import JugglingPattern
+from .poly import Monomial, Var
 
 
 class ZeroInQuotient(ValueError):
@@ -23,73 +30,37 @@ class ZeroInQuotient(ValueError):
 
 
 @dataclass(frozen=True)
-class ColoredMonomial:
-    """A product of colored coordinates, stored per vertex as weakly
-    increasing index lists."""
-
-    n: int
-    factors: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.factors) != self.n:
-            raise ValueError("need one index list per vertex")
-        for idx in self.factors:
-            if any(not 1 <= i <= self.n for i in idx):
-                raise ValueError(f"indices must lie in [1, {self.n}]")
-            if tuple(sorted(idx)) != idx:
-                raise ValueError("per-vertex index lists must be sorted")
-
-    @property
-    def multidegree(self) -> tuple[int, ...]:
-        return tuple(len(idx) for idx in self.factors)
-
-    def index_product(self) -> int:
-        """The termination measure: the product of all indices."""
-        return prod(i for idx in self.factors for i in idx)
-
-    def evaluate(self, point: FiberPoint) -> Fraction:
-        """Product of the vertex-line coordinates (k=1 points only)."""
-        out = Fraction(1)
-        for b, idx in enumerate(self.factors):
-            row = point.spaces[b].basis[0]
-            for i in idx:
-                out *= row[i - 1]
-        return out
-
-    def __str__(self):
-        parts = [f"D{b}_{i}" for b, idx in enumerate(self.factors)
-                 for i in idx]
-        return "*".join(parts) if parts else "1"
-
-
-@dataclass(frozen=True)
 class NormalForm:
     epsilon_power: int
-    monomial: ColoredMonomial
+    monomial: Monomial
 
 
-def is_admissible(mon: ColoredMonomial, J: JugglingPattern) -> bool:
-    """Both admissibility conditions: every factor's diagonal lands in the
-    ones locus, and no descending pair across a shift s."""
+def _off_ones_locus(J: JugglingPattern) -> frozenset[Var]:
+    """The variables ("D", b, (i,)) whose diagonal (b + i - 1) mod n lies
+    outside the ones locus: zero in the quotient."""
     if J.k != 1:
         raise ValueError("admissibility is defined for k = 1 patterns")
-    n = mon.n
-    L = J.ones_locus
-    for b, idx in enumerate(mon.factors):
-        for i in idx:
-            if (b + i - 1) % n not in L:
-                return False
-    return _find_violation(mon) is None
+    n, L = J.n, J.ones_locus
+    return frozenset(("D", b, (i,)) for b in range(n)
+                     for i in range(1, n + 1) if (b + i - 1) % n not in L)
 
 
-def _find_violation(mon: ColoredMonomial):
-    """Lexicographically smallest (b, s, u, r) with i = factors[b][u] > s
-    and factors[b+s][r] > i - s, or None."""
-    n = mon.n
+def _index_lists(mon: Monomial, n: int) -> list[list[int]]:
+    """The sorted index list of each color's factors."""
+    idx: list[list[int]] = [[] for _ in range(n)]
+    for _, b, (i,) in mon.factors:
+        idx[b].append(i)
+    return idx
+
+
+def _find_violation(idx: list[list[int]]):
+    """Lexicographically smallest (b, s, u, r) with i = idx[b][u] > s
+    and idx[b+s][r] > i - s, or None."""
+    n = len(idx)
     for b in range(n):
         for s in range(1, n):
-            other = mon.factors[(b + s) % n]
-            for u, i in enumerate(mon.factors[b]):
+            other = idx[(b + s) % n]
+            for u, i in enumerate(idx[b]):
                 if i <= s:
                     continue
                 for r, j in enumerate(other):
@@ -98,60 +69,50 @@ def _find_violation(mon: ColoredMonomial):
     return None
 
 
-def rewrite_to_normal_form(mon: ColoredMonomial,
-                           J: JugglingPattern | None = None,
-                           with_trace: bool = False):
-    """Rewrite descending pairs until admissible (for the constant pattern);
-    returns NormalForm(e, monomial) with the accumulated epsilon power.
+def is_admissible(mon: Monomial, J: JugglingPattern) -> bool:
+    """Both admissibility conditions: every factor's diagonal lands in the
+    ones locus, and no descending pair across a shift s."""
+    return (_off_ones_locus(J).isdisjoint(mon.factors)
+            and _find_violation(_index_lists(mon, J.n)) is None)
 
-    With a pattern given, a normal form violating the ones-locus condition
-    raises ZeroInQuotient. With with_trace=True also returns the list of
-    index-product measures, one per state visited.
-    """
-    n = mon.n
-    factors = [list(idx) for idx in mon.factors]
+
+def rewrite_to_normal_form(mon: Monomial, J: JugglingPattern):
+    """Rewrite descending pairs until none is left; returns
+    (NormalForm(e, monomial), trace), e the accumulated epsilon power and
+    trace the index-product measure of each state visited, which strictly
+    decreases. A normal form violating the ones-locus condition of J
+    raises ZeroInQuotient."""
+    n = J.n
+    idx = _index_lists(mon, n)
     e = 0
-    trace = [mon.index_product()]
-    current = mon
-    while (hit := _find_violation(current)) is not None:
+    trace = [prod(map(prod, idx))]
+    while (hit := _find_violation(idx)) is not None:
         b, s, u, r = hit
-        i = factors[b][u]
-        j = factors[(b + s) % n][r]
+        c = (b + s) % n
+        i, j = idx[b][u], idx[c][r]
         if j <= n - s:
-            new_i = j + s
+            idx[b][u] = j + s
         else:
-            new_i = j + s - n
+            idx[b][u] = j + s - n
             e += 1
-        factors[b][u] = new_i
-        factors[(b + s) % n][r] = i - s
-        factors[b].sort()
-        factors[(b + s) % n].sort()
-        current = ColoredMonomial(n, tuple(tuple(f) for f in factors))
-        trace.append(current.index_product())
-    if J is not None and not is_admissible(current, J):
+        idx[c][r] = i - s
+        idx[b].sort()
+        idx[c].sort()
+        trace.append(prod(map(prod, idx)))
+    nf = Monomial(("D", b, (i,)) for b, row in enumerate(idx) for i in row)
+    if not _off_ones_locus(J).isdisjoint(nf.factors):
         raise ZeroInQuotient(
-            f"the normal form {current} has a factor whose diagonal lies "
+            f"the normal form {nf} has a factor whose diagonal lies "
             f"outside the ones locus {set(J.ones_locus)}")
-    nf = NormalForm(e, current)
-    return (nf, trace) if with_trace else nf
+    return NormalForm(e, nf), trace
 
 
 def enumerate_admissible(J: JugglingPattern,
-                         m: tuple[int, ...]) -> list[ColoredMonomial]:
+                         m: tuple[int, ...]) -> list[Monomial]:
     """All J-admissible monomials of multidegree m, lexicographically."""
-    if J.k != 1:
-        raise ValueError("admissible monomials are defined for k = 1")
-    n = J.n
-    if len(m) != n:
-        raise ValueError(f"multidegree length {len(m)} != n={n}")
-    L = J.ones_locus
-    per_vertex = []
-    for b, mb in enumerate(m):
-        allowed = [i for i in range(1, n + 1) if (b + i - 1) % n in L]
-        per_vertex.append(list(combinations_with_replacement(allowed, mb)))
-    # The product of the lexicographic per-vertex lists is lexicographic.
-    mons = (ColoredMonomial(n, pick) for pick in product(*per_vertex))
-    return [mon for mon in mons if _find_violation(mon) is None]
+    mons = hilbert.monomials_of_multidegree(1, J.n, m, _off_ones_locus(J))
+    return [mon for mon in mons
+            if _find_violation(_index_lists(mon, J.n)) is None]
 
 
 def count_admissible(J: JugglingPattern, m: tuple[int, ...]) -> int:
@@ -164,6 +125,15 @@ def expected_count(J: JugglingPattern, m: tuple[int, ...]) -> int:
     return comb(M + J.ell - 1, M)
 
 
+def evaluate(mon: Monomial, point: FiberPoint) -> Fraction:
+    """Product of the vertex-line coordinates (k=1 points only): the factor
+    ("D", b, (i,)) reads entry i of the row spanning vertex b's line."""
+    out = Fraction(1)
+    for _, b, (i,) in mon.factors:
+        out *= point.spaces[b].basis[0][i - 1]
+    return out
+
+
 def sample_lambda(J: JugglingPattern, t: int) -> dict[int, Fraction]:
     """The t-th parameter vector: an integer in [1, 2^20] per element of
     the ones locus, in increasing order, drawn by `random.Random(t)`."""
@@ -172,8 +142,9 @@ def sample_lambda(J: JugglingPattern, t: int) -> dict[int, Fraction]:
             for l in sorted(J.ones_locus)}
 
 
-def sample_points(J: JugglingPattern, count: int, eps=1) -> list[FiberPoint]:
-    return [k1_point(J, sample_lambda(J, t), eps) for t in range(count)]
+def sample_points(J: JugglingPattern, count: int) -> list[FiberPoint]:
+    """The first `count` sampled points of the eps=1 fiber."""
+    return [k1_point(J, sample_lambda(J, t), 1) for t in range(count)]
 
 
 def verify_basis(J: JugglingPattern, m: tuple[int, ...],
@@ -190,8 +161,8 @@ def verify_basis(J: JugglingPattern, m: tuple[int, ...],
     dims = {str(Fraction(eps)): hilbert.graded_component_dim(
         ideals.global_positroid_ideal(J, eps), m) for eps in epsilons}
 
-    points = sample_points(J, count + 3, eps=1)
-    matrix = [[mon.evaluate(pt) for mon in mons] for pt in points]
+    points = sample_points(J, count + 3)
+    matrix = [[evaluate(mon, pt) for mon in mons] for pt in points]
     rank = linalg.rank(matrix) if count else 0
 
     passed = (all(d == count for d in dims.values())

@@ -168,7 +168,14 @@ def pattern_from_anchor(S: AnchorSet) -> JugglingPattern:
     return JugglingPattern(S.k, n, entries)
 
 
+# The largest n whose patterns or anchor sets are enumerated.
 ENUMERATION_BOUND = 8
+
+
+def _check_enumeration_bound(n: int) -> None:
+    if n > ENUMERATION_BOUND:
+        raise PatternError(
+            f"n={n} exceeds the enumeration bound {ENUMERATION_BOUND}")
 
 
 def enumerate_patterns(k: int, n: int) -> list[JugglingPattern]:
@@ -176,9 +183,7 @@ def enumerate_patterns(k: int, n: int) -> list[JugglingPattern]:
     on the flattened tuple of sorted subsets."""
     if not 0 < k < n:
         raise PatternError(f"need 0 < k < n, got k={k}, n={n}")
-    if n > ENUMERATION_BOUND:
-        raise PatternError(
-            f"n={n} exceeds the enumeration bound {ENUMERATION_BOUND}")
+    _check_enumeration_bound(n)
     subsets = [c for c in combinations(range(1, n + 1), k)]
 
     def successors(prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -208,7 +213,8 @@ def enumerate_patterns(k: int, n: int) -> list[JugglingPattern]:
 
 def components_of_special_fiber(J: JugglingPattern) -> list[AnchorSet]:
     """Anchor sets S with J <= J(S); these label the irreducible components
-    of the special fiber."""
+    of the special fiber. PatternError for n over ENUMERATION_BOUND."""
+    _check_enumeration_bound(J.n)
     found = []
     for c in combinations(range(J.n), J.k):
         S = AnchorSet(J.n, c)

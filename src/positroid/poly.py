@@ -94,6 +94,9 @@ class Monomial:
     def __repr__(self):
         return f"Monomial({self.factors!r})"
 
+    def __str__(self):
+        return "*".join(map(var_to_text, self.factors)) or "1"
+
 
 MONOMIAL_ONE = Monomial()
 

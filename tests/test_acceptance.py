@@ -8,7 +8,7 @@ arithmetic; there are no tolerances.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import comb
 
 from positroid import patterns
@@ -16,19 +16,21 @@ from positroid.fibers import (
     FiberError,
     Subspace,
     in_positroid_fiber,
+    k1_point,
     plucker_vector,
     project_and_check,
     torus_fixed_point,
 )
-from positroid.hilbert import graded_component_dim
+from positroid.hilbert import graded_component_dim, monomials_of_multidegree
 from positroid.ideals import classical_plucker_generators, \
     global_positroid_ideal
 from positroid.k1basis import (
-    ColoredMonomial,
     count_admissible,
+    evaluate,
     expected_count,
     is_admissible,
     rewrite_to_normal_form,
+    sample_lambda,
     sample_points,
 )
 from positroid.patterns import (
@@ -203,7 +205,8 @@ def test_criterion_7_projection_product_structure():
                         failures.append(("fixed", str(J), str(S)))
     for n in range(2, 6):
         for J in enumerate_patterns(1, n):
-            for pt in sample_points(J, 3, eps=0):
+            for pt in (k1_point(J, sample_lambda(J, t), 0)
+                       for t in range(3)):
                 if not all(project_and_check(pt, J)):
                     failures.append(("sampled", str(J)))
     _report(7, "projections land in the rotated classical positroids",
@@ -215,15 +218,10 @@ def test_criterion_8_rewriting_soundness():
     failures = []
     for n in range(2, 5):
         const = _constant(1, n)
-        points = sample_points(const, 5, eps=1)
+        points = sample_points(const, 5)
         for m in _multidegrees(n, 4):
-            per_vertex = [
-                list(combinations_with_replacement(range(1, n + 1), mb))
-                for mb in m]
-            for pick in product(*per_vertex):
-                mon = ColoredMonomial(n, tuple(tuple(p) for p in pick))
-                nf, trace = rewrite_to_normal_form(mon, const,
-                                                   with_trace=True)
+            for mon in monomials_of_multidegree(1, n, m):
+                nf, trace = rewrite_to_normal_form(mon, const)
                 if nf.epsilon_power < 0:
                     failures.append(("negative power", str(mon)))
                     continue
@@ -235,7 +233,7 @@ def test_criterion_8_rewriting_soundness():
                     continue
                 # at eps=1 the accumulated power drops out exactly
                 for pt in points:
-                    if mon.evaluate(pt) != nf.monomial.evaluate(pt):
+                    if evaluate(mon, pt) != evaluate(nf.monomial, pt):
                         failures.append(("evaluation", str(mon), str(pt)))
                         break
     _report(8, "rewriting terminates, decreases the measure, and is exact",

@@ -300,6 +300,10 @@ class TestInvalidInput:
         ("ideal", "1,1,2", "--out", "MISSING"),
         ("patterns", "1", "3", "--out", "DIR"),
         ("flatness", "1", "3", "1,1,1", "--out", "DIR"),
+        # 126 anchor sets, but n = 9 is over the enumeration bound.
+        ("components", "|".join(["1234"] * 9)),
+        # About 12M monomials in the full ring, refused before any is built.
+        ("basis", "--pattern", "1,1,1", "--multidegree", "20,20,20"),
     ])
     def test_usage_error_without_traceback(self, args, tmp_path):
         # "POINT" stands for a file holding GOOD_POINT, "POINT:name" for one

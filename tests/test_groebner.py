@@ -22,6 +22,11 @@ def D(a, *idx):
     return Polynomial.plucker(a, idx)
 
 
+def _color_0_vars(k, n):
+    # The ring of one Grassmannian: the color-0 Pluecker variables.
+    return tuple(v for v in plucker_universe(k, n) if v[1] == 0)
+
+
 def _simple_vars(count):
     # Distinct single-index variables standing in for a generic ring.
     return tuple(plucker_var(0, (i,)) for i in range(1, count + 1))
@@ -41,14 +46,14 @@ class TestBuchberger:
         assert gb.krull_dimension() == 1
 
     def test_grassmannian_2_4_quadric(self):
-        vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
+        vars_ = _color_0_vars(2, 4)
         gens = classical_plucker_generators(2, 4, 0)
         gb = buchberger(gens, vars_)
         # Affine cone over the 4-dimensional Grassmannian.
         assert gb.krull_dimension() == 5
 
     def test_normal_form_of_plucker_product(self):
-        vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
+        vars_ = _color_0_vars(2, 4)
         gens = classical_plucker_generators(2, 4, 0)
         gb = buchberger(gens, vars_)
         nf = gb.normal_form(D(0, 1, 2) * D(0, 3, 4))
@@ -56,7 +61,7 @@ class TestBuchberger:
         assert nf == expected
 
     def test_normal_form_idempotent_and_annihilates_generators(self):
-        vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
+        vars_ = _color_0_vars(2, 4)
         gens = classical_plucker_generators(2, 4, 0)
         gb = buchberger(gens, vars_)
         for g in gens:
@@ -65,7 +70,7 @@ class TestBuchberger:
         assert gb.normal_form(gb.normal_form(p)) == gb.normal_form(p)
 
     def test_basis_is_deterministic(self):
-        vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
+        vars_ = _color_0_vars(2, 4)
         gens = classical_plucker_generators(2, 4, 0)
         a = [repr(p) for p in buchberger(gens, vars_).polynomials]
         b = [repr(p) for p in buchberger(list(reversed(gens)),
@@ -110,7 +115,7 @@ class TestResourceCaps:
                        _simple_vars(6) + (EPSILON,))
 
     def test_degree_cap_triggers(self, monkeypatch):
-        vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
+        vars_ = _color_0_vars(2, 4)
         gens = classical_plucker_generators(2, 4, 0)
         monkeypatch.setattr(groebner, "MAX_TOTAL_DEGREE", 1)
         with pytest.raises(ResourceCapExceeded):
@@ -119,7 +124,7 @@ class TestResourceCaps:
 
 class TestKrullDimension:
     def test_monotone_under_adding_generators(self):
-        vars_ = plucker_universe(2, 4, colors=[0], with_epsilon=False)
+        vars_ = _color_0_vars(2, 4)
         gens = classical_plucker_generators(2, 4, 0)
         dim = buchberger(gens, vars_).krull_dimension()
         more = gens + [D(0, 1, 2)]

@@ -10,7 +10,7 @@ import pytest
 from positroid import hilbert
 from positroid.fibers import (FiberError, FiberPoint, Subspace, map_subspace,
                               plucker_assignment, plucker_vector)
-from positroid.groebner import Ideal, ResourceCapExceeded
+from positroid.groebner import Ideal, ResourceCapExceeded, plucker_universe
 from positroid.hilbert import graded_component_dim, monomials_of_multidegree
 from positroid.ideals import (
     classical_plucker_generators,
@@ -19,6 +19,7 @@ from positroid.ideals import (
     schubert_vanishing_generators,
     transport,
 )
+from positroid.k1basis import is_admissible
 from positroid.patterns import (JugglingPattern, KSubset, enumerate_patterns,
                                 rotate)
 from positroid.poly import EPSILON, Monomial, Polynomial, poly_to_text
@@ -253,14 +254,15 @@ class TestGlobalIdeal:
         assert D(0, 2) in ideal.generators
 
     def test_k1_linear_generators_are_the_ones_locus_condition(self):
-        for n in (2, 3, 4):
+        # The linear generators are the variables that are not admissible
+        # monomials, on all 119 patterns of (1, n <= 6).
+        for n in range(2, 7):
             for J in enumerate_patterns(1, n):
-                ideal = global_positroid_ideal(J)
-                linear = {poly_to_text(g) for g in ideal.generators
+                linear = {g for g in global_positroid_ideal(J).generators
                           if g.total_degree() == 1}
-                expected = {poly_to_text(D(b, i))
-                            for b in range(n) for i in range(1, n + 1)
-                            if (b + i - 1) % n not in J.ones_locus}
+                expected = {Polynomial.variable(v)
+                            for v in plucker_universe(1, n)
+                            if not is_admissible(Monomial([v]), J)}
                 assert linear == expected, str(J)
 
     def test_specialize_at_zero_contains_pure_monomials(self):

@@ -6,12 +6,13 @@ from math import comb
 
 import pytest
 
-from positroid import hilbert
+from positroid import groebner, hilbert
+from positroid.groebner import ResourceCapExceeded
 from positroid.k1basis import (
-    ColoredMonomial,
     ZeroInQuotient,
     count_admissible,
     enumerate_admissible,
+    evaluate,
     expected_count,
     is_admissible,
     rewrite_to_normal_form,
@@ -20,6 +21,7 @@ from positroid.k1basis import (
     verify_basis,
 )
 from positroid.patterns import JugglingPattern, KSubset, enumerate_patterns
+from positroid.poly import parse_polynomial
 
 
 def P(k, n, *entries):
@@ -36,16 +38,20 @@ def multidegrees(n, bound):
             yield m
 
 
-class TestColoredMonomial:
-    def test_multidegree_and_measure(self):
-        mon = ColoredMonomial(3, ((1, 2), (), (3,)))
-        assert mon.multidegree == (2, 0, 1)
-        assert mon.index_product() == 6
-        assert str(mon) == "D0_1*D0_2*D2_3"
+def mono(text):
+    """The monomial of `text`, a product of k = 1 variables such as
+    "D0_2*D1_2"."""
+    (mon,) = parse_polynomial(text).terms
+    return mon
 
-    def test_rejects_unsorted_factors(self):
-        with pytest.raises(ValueError):
-            ColoredMonomial(3, ((2, 1), (), ()))
+
+class TestK1Monomial:
+    def test_text_multidegree_and_measure(self):
+        mon = mono("D2_3*D0_2*D0_1")
+        assert mon.multidegree(3) == (2, 0, 1)
+        assert str(mon) == "D0_1*D0_2*D2_3"
+        # Admissible already: the trace holds the one index product.
+        assert rewrite_to_normal_form(mon, constant(3))[1] == [6]
 
 
 class TestAdmissibility:
@@ -59,19 +65,25 @@ class TestAdmissibility:
 
     def test_descending_pair_is_inadmissible(self):
         # D0_2*D1_2: i=2 at vertex 0 with s=1 and j=2 > i-s=1.
-        assert not is_admissible(ColoredMonomial(3, ((2,), (2,), ())),
-                                 constant(3))
+        assert not is_admissible(mono("D0_2*D1_2"), constant(3))
 
     def test_ones_locus_condition(self):
         J = P(1, 3, (1,), (3,), (2,))  # ones locus {0}
-        assert is_admissible(ColoredMonomial(3, ((1,), (), ())), J)
-        assert not is_admissible(ColoredMonomial(3, ((2,), (), ())), J)
+        assert is_admissible(mono("D0_1"), J)
+        assert not is_admissible(mono("D0_2"), J)
 
     def test_counting_identity_small_sweep(self):
         for n in (2, 3, 4):
             for J in enumerate_patterns(1, n):
                 for m in multidegrees(n, 3):
                     assert count_admissible(J, m) == expected_count(J, m)
+
+    def test_enumeration_meets_the_component_cap(self, monkeypatch):
+        # (1, 1, 1) has 27 monomials in the full ring, 10 of them
+        # admissible; the cap is decided before any is built.
+        monkeypatch.setattr(groebner, "MAX_COMPONENT_MONOMIALS", 5)
+        with pytest.raises(ResourceCapExceeded):
+            count_admissible(constant(3), (1, 1, 1))
 
     def test_expected_count_formula(self):
         J = constant(3)
@@ -82,45 +94,45 @@ class TestRewriting:
     def test_known_rewrite_without_wrap(self):
         # D0_3*D1_3 -> D1_1*D1_3? no: (i=3)@0 with (j=3)@1, s=1, j<=n-s=2
         # fails, so the wrap rule fires: new_i = 3+1-3 = 1, e += 1.
-        nf = rewrite_to_normal_form(ColoredMonomial(3, ((3,), (3,), ())))
+        nf, _ = rewrite_to_normal_form(mono("D0_3*D1_3"), constant(3))
         assert nf.epsilon_power == 1
         assert str(nf.monomial) == "D0_1*D1_2"
 
     def test_known_rewrite_with_plain_exchange(self):
         # D0_2*D1_2 with s=1: j=2 <= n-s=2, exchange to D0_3*D1_1, e=0.
-        nf = rewrite_to_normal_form(ColoredMonomial(3, ((2,), (2,), ())))
+        nf, _ = rewrite_to_normal_form(mono("D0_2*D1_2"), constant(3))
         assert nf.epsilon_power == 0
         assert str(nf.monomial) == "D0_3*D1_1"
 
     def test_measure_strictly_decreases(self):
         for n in (3, 4):
             for m in multidegrees(n, 3):
-                for mon in _all_monomials(n, m):
-                    _, trace = rewrite_to_normal_form(mon, with_trace=True)
+                for mon in hilbert.monomials_of_multidegree(1, n, m):
+                    _, trace = rewrite_to_normal_form(mon, constant(n))
                     assert all(a > b for a, b in zip(trace, trace[1:]))
 
     def test_normal_forms_are_admissible_for_constant_pattern(self):
         J = constant(3)
         for m in multidegrees(3, 3):
-            for mon in _all_monomials(3, m):
-                nf = rewrite_to_normal_form(mon, J)
+            for mon in hilbert.monomials_of_multidegree(1, 3, m):
+                nf, _ = rewrite_to_normal_form(mon, J)
                 assert is_admissible(nf.monomial, J)
                 assert nf.epsilon_power >= 0
 
     def test_zero_in_quotient_for_restrictive_pattern(self):
         J = P(1, 2, (1,), (2,))  # ones locus {0}
         with pytest.raises(ZeroInQuotient):
-            rewrite_to_normal_form(ColoredMonomial(2, ((2,), ())), J)
+            rewrite_to_normal_form(mono("D0_2"), J)
 
     def test_evaluation_identity_on_sampled_points(self):
         # input = eps^e * output pointwise; at eps=1 the powers drop out.
         J = constant(3)
-        points = sample_points(J, 4, eps=1)
+        points = sample_points(J, 4)
         for m in multidegrees(3, 2):
-            for mon in _all_monomials(3, m):
-                nf = rewrite_to_normal_form(mon, J)
+            for mon in hilbert.monomials_of_multidegree(1, 3, m):
+                nf, _ = rewrite_to_normal_form(mon, J)
                 for pt in points:
-                    assert mon.evaluate(pt) == nf.monomial.evaluate(pt)
+                    assert evaluate(mon, pt) == evaluate(nf.monomial, pt)
 
     def test_evaluation_identity_at_generic_epsilon(self):
         from positroid.fibers import k1_point
@@ -128,10 +140,10 @@ class TestRewriting:
         eps = Fraction(3, 2)
         pt = k1_point(J, {0: Fraction(2), 1: Fraction(3), 2: Fraction(5)},
                       eps)
-        mon = ColoredMonomial(3, ((3,), (3,), ()))
-        nf = rewrite_to_normal_form(mon, J)
-        assert mon.evaluate(pt) == eps ** nf.epsilon_power * \
-            nf.monomial.evaluate(pt)
+        mon = mono("D0_3*D1_3")
+        nf, _ = rewrite_to_normal_form(mon, J)
+        assert evaluate(mon, pt) == eps ** nf.epsilon_power * \
+            evaluate(nf.monomial, pt)
 
 
 class TestSampling:
@@ -177,11 +189,3 @@ class TestVerifyBasis:
         assert not passed
         assert case["count"] == 1
         assert set(case["dims"].values()) == {2}
-
-
-def _all_monomials(n, m):
-    from itertools import combinations_with_replacement
-    per_vertex = [list(combinations_with_replacement(range(1, n + 1), mb))
-                  for mb in m]
-    for pick in product(*per_vertex):
-        yield ColoredMonomial(n, tuple(tuple(p) for p in pick))
