@@ -50,13 +50,15 @@ class ResourceCapExceeded(RuntimeError):
 # The resource limits of every computation, one fixed policy: the largest
 # working polynomial of a division or basis element, the largest Groebner
 # basis, the largest total degree of a term of a basis element, the largest
-# graded component `hilbert` builds a matrix for, and the most
-# (pattern, multidegree) cases one `flatness` run may hold.
+# graded component `hilbert` builds a matrix for, the most
+# (pattern, multidegree) cases one `flatness` run may hold, and the most
+# readings `ideals.pattern_free_generators` may build for one (k, n).
 MAX_TERMS = 200000
 MAX_BASIS_SIZE = 20000
 MAX_TOTAL_DEGREE = 80
 MAX_COMPONENT_MONOMIALS = 200000
 MAX_FLATNESS_CASES = 100000
+MAX_GENERATOR_READINGS = 500000
 
 
 def _check_universe(p: Polynomial, bits: dict[Var, int]) -> None:

@@ -7,10 +7,18 @@ isomorphic to S'/I', where S' is the ring in the variables outside Z, and
 the graded components are computed over S', each from the exact rank of a
 sparse matrix with one {column: coefficient} row per product of a
 generator and a monomial.
+
+A sweep asks for the same component of one pattern at several values of
+eps, and its basis and cofactor monomials depend only on (k, n, m) and the
+vanishing set, which is the same at every eps. `graded_component_dim`
+takes both from `_component_monomials`, keyed by (k, n, m, vanishing) and
+bounded to the last 8 keys: one m and the cofactor multidegrees of its
+generator groups.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from typing import Container
@@ -43,6 +51,15 @@ def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
     return [Monomial(sum(pick, ())) for pick in product(*per_color)]
 
 
+@lru_cache(maxsize=8)
+def _component_monomials(k: int, n: int, m: tuple[int, ...],
+                         zero: frozenset[Var]) -> tuple:
+    # The monomials of multidegree m outside `zero` and their column index,
+    # shared by every eps of a sweep; read-only.
+    basis = tuple(monomials_of_multidegree(k, n, m, zero))
+    return basis, {mono: i for i, mono in enumerate(basis)}
+
+
 def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     """Dimension of the multidegree-m component of the quotient ring.
 
@@ -57,14 +74,13 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
         raise ValueError("specialize epsilon before computing graded "
                          "component dimensions")
     k, n, zero = ideal.k, ideal.n, ideal.vanishing
-    basis = monomials_of_multidegree(k, n, m, zero)
-    index = {mono: i for i, mono in enumerate(basis)}
+    basis, index = _component_monomials(k, n, tuple(m), zero)
     rows = []
     for d, gens in ideal.by_multidegree:
         diff = tuple(mb - db for mb, db in zip(m, d))
         if any(x < 0 for x in diff):
             continue
-        cofactors = monomials_of_multidegree(k, n, diff, zero)
+        cofactors, _ = _component_monomials(k, n, diff, zero)
         rows += ({index[mono * mu]: c for mono, c in g.terms.items()}
                  for g, mu in product(gens, cofactors))
     return len(basis) - linalg.rank(rows)

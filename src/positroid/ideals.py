@@ -14,8 +14,13 @@ their variables from the others.
 A flatness check asks for the ideal of every pattern of one (k, n) at the
 same few values of eps. `global_positroid_ideal(J, eps)` builds the
 specialized ideal directly: the pattern-free generators are specialized
-and deduplicated once per (k, n, eps), and the ideal's normal form
-renormalizes only the generators that a vanishing variable touches.
+and deduplicated once per (k, n, eps), J's Schubert vanishing monomials,
+which do not depend on eps, are built once per pattern, and the ideal's
+normal form renormalizes only the generators that a vanishing variable
+touches. Both are shared through caches bounded to their last 8 keys,
+(k, n, eps) and the pattern J. The pattern-free family itself is built
+once per (k, n), and only when its count of readings is within
+`groebner.MAX_GENERATOR_READINGS`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
+from . import groebner
 from .groebner import Ideal
 from .patterns import JugglingPattern, KSubset, all_subsets
 from .poly import Polynomial, dedup
@@ -119,7 +126,16 @@ def pattern_free_generators(k: int, n: int) -> tuple[Polynomial, ...]:
       multidegree (1, 1), where Gr(2,4) has 20.
     - Each commutator Delta_I Delta_(J+c) - Delta_(J+c) Delta_I, with no
       such choice, since both terms are one monomial: the shift relations.
+
+    That is n^2 (k + 1) C(n, k)^2 readings, counting the k C(n, k)^2
+    quadrics of a color before their dedup; over MAX_GENERATOR_READINGS,
+    ResourceCapExceeded is raised before any is built.
     """
+    readings = n * n * (k + 1) * comb(n, k) ** 2
+    cap = groebner.MAX_GENERATOR_READINGS
+    if readings > cap:
+        raise groebner.ResourceCapExceeded(
+            f"({k},{n}) has {readings} generator readings, over cap {cap}")
     subsets = all_subsets(k, n)
     gens = []
     for a in range(n):
@@ -145,6 +161,13 @@ def _specialized_pattern_free_generators(k: int, n: int, epsilon: Fraction
                        for g in pattern_free_generators(k, n)))
 
 
+# The Schubert vanishing monomials of the last 8 patterns: a flatness sweep
+# builds one pattern's ideal at a few values of eps in a row.
+@lru_cache(maxsize=8)
+def _schubert_vanishing(J: JugglingPattern) -> tuple[Polynomial, ...]:
+    return tuple(schubert_vanishing_generators(J))
+
+
 def global_positroid_ideal(J: JugglingPattern, epsilon=None) -> Ideal:
     """The ideal generated by the shift-closed Schubert vanishing monomials
     of J and the pattern-free generators; with a rational `epsilon`, the
@@ -158,7 +181,7 @@ def global_positroid_ideal(J: JugglingPattern, epsilon=None) -> Ideal:
     entry, so its graded dimensions there describe no property of the
     fibers. `Ideal` drops their variables from the other generators.
     """
-    schubert = tuple(schubert_vanishing_generators(J))
+    schubert = _schubert_vanishing(J)
     if epsilon is None:
         return Ideal(J.k, J.n, schubert + pattern_free_generators(J.k, J.n))
     return Ideal(J.k, J.n, schubert + _specialized_pattern_free_generators(

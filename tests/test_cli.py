@@ -1,6 +1,7 @@
 """Tests for the command-line interface: verbs, formats, exit codes."""
 
 import json
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -350,6 +351,19 @@ class TestInvalidInput:
         # README's `flatness 3 6 --all --max-degree 2`.
         assert len(enumerate_patterns(3, 6)) * 28 == 24724
         assert 24724 <= groebner.MAX_FLATNESS_CASES
+
+    @pytest.mark.parametrize("verb", ["ideal", "dim"])
+    def test_generator_budget_stops_constant_4_9_at_once(self, verb):
+        # 9^2 * 5 * C(9,4)^2 = 6,429,780 pattern-free generator readings.
+        start = time.monotonic()
+        res = run(verb, "|".join(["1234"] * 9))
+        assert time.monotonic() - start < 2
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert [line for line in res.output.splitlines()
+                if line.startswith("Error:")] == [
+            "Error: (4,9) has 6429780 generator readings, over cap 500000"]
 
     def test_groebner_cap_hit_is_usage_error(self, monkeypatch):
         monkeypatch.setattr(groebner, "MAX_TERMS", 1)

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from positroid import hilbert, linalg
+from positroid import hilbert, ideals, linalg
 from positroid.groebner import Ideal, ResourceCapExceeded
 from positroid.hilbert import graded_component_dim, monomials_of_multidegree
 from positroid.ideals import (
@@ -230,3 +230,57 @@ class TestSparseRows:
         ideal = global_positroid_ideal(parse_pattern(pattern))
         for eps in (0, 2):
             assert graded_component_dim(ideal.specialize(eps), m) == dim
+
+
+def _sweep_dims(epsilons, cold):
+    """graded_component_dim of every (1,5) and (2,4) pattern at |m| <= 2,
+    one pattern at a time with the given order of eps, as `flatness` asks
+    for them; with `cold`, every shared cache is cleared before each ideal
+    and each component."""
+    dims = {}
+    for k, n in ((1, 5), (2, 4)):
+        mds = [m for m in product(range(3), repeat=n) if sum(m) <= 2]
+        for J in enumerate_patterns(k, n):
+            specialized = {}
+            for eps in epsilons:
+                if cold:
+                    ideals._schubert_vanishing.cache_clear()
+                specialized[eps] = global_positroid_ideal(J, eps)
+            for m in mds:
+                for eps, ideal in specialized.items():
+                    if cold:
+                        hilbert._component_monomials.cache_clear()
+                    dims[str(J), m, eps] = graded_component_dim(ideal, m)
+    return dims
+
+
+class TestSharedMonomials:
+    """A sweep shares the monomial lists of a component and the Schubert
+    vanishing monomials of a pattern across eps; no result may show it."""
+
+    def test_warm_cold_and_reversed_sweeps_agree(self):
+        warm = _sweep_dims((0, 1, 2), cold=False)
+        assert _sweep_dims((0, 1, 2), cold=True) == warm
+        assert _sweep_dims((2, 1, 0), cold=False) == warm
+
+    def test_returned_monomial_lists_are_fresh(self):
+        m = (1, 1, 0)
+        J = parse_pattern("12|13|23")
+        ideal = global_positroid_ideal(J, 1)
+        dim = graded_component_dim(ideal, m)
+        first = monomials_of_multidegree(2, 3, m, ideal.vanishing)
+        kept = list(first)
+        first.reverse()
+        first.pop()
+        assert monomials_of_multidegree(2, 3, m, ideal.vanishing) == kept
+        assert graded_component_dim(ideal, m) == dim
+
+    def test_returned_vanishing_lists_are_fresh(self):
+        J = parse_pattern("12|13|23")
+        generators = global_positroid_ideal(J, 1).generators
+        first = schubert_vanishing_generators(J)
+        kept = list(first)
+        assert kept
+        first.clear()
+        assert schubert_vanishing_generators(J) == kept
+        assert global_positroid_ideal(J, 1).generators == generators

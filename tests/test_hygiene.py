@@ -2,7 +2,8 @@
 module-level function or class of the package is used in its module, every
 public one is named somewhere, every module-level function, class and
 constant is named in a package module or a test, no package module imports
-another's private name, and every binding the benchmark tracer wraps exists.
+another's private name, every binding the benchmark tracer wraps exists, and
+every cache of the package is bounded but the (k, n)-keyed ones.
 
 No linter is a dependency of this project, so this walks the syntax tree of
 each module: a name bound by an import must be referenced somewhere else in
@@ -162,3 +163,38 @@ def test_no_dead_module_names():
             and not any(name in used for j, used in enumerate(names)
                         if j != i)]
     assert not dead, "module-level names used nowhere:\n" + "\n".join(dead)
+
+
+
+# Caches keyed by (k, n) alone: a process meets few shapes, and each
+# pattern-free family is bounded by groebner.MAX_GENERATOR_READINGS.
+UNBOUNDED_CACHES = {"pattern_free_generators", "_shifted_subsets"}
+
+
+def _is_unbounded_cache(decorator):
+    # `cache`, or `lru_cache` with maxsize None; a bare `lru_cache` has a
+    # finite default.
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = getattr(target, "attr", getattr(target, "id", None))
+    if name == "cache":
+        return True
+    if name != "lru_cache" or call is None:
+        return False
+    sizes = [*call.args[:1],
+             *(kw.value for kw in call.keywords if kw.arg == "maxsize")]
+    return any(isinstance(x, ast.Constant) and x.value is None
+               for x in sizes)
+
+
+def test_caches_are_bounded():
+    # Every cache of the package has a finite maxsize, but the named
+    # (k, n)-keyed ones; finding exactly those shows the walk sees caches.
+    unbounded = set()
+    for path in sorted((ROOT / "src" / "positroid").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unbounded.update(
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(_is_unbounded_cache, node.decorator_list)))
+    assert unbounded == UNBOUNDED_CACHES

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from positroid import hilbert
+from positroid import groebner, hilbert, ideals
 from positroid.fibers import (FiberError, FiberPoint, Subspace, map_subspace,
                               plucker_assignment, plucker_vector)
 from positroid.groebner import Ideal, ResourceCapExceeded, plucker_universe
@@ -181,6 +181,30 @@ class TestTransportedQuadrics:
                         graded_component_dim(ideal, m) != hf[sum(m)]:
                     wrong.append(f"{J} m={m}")
         assert not wrong, f"{len(wrong)} cases: {wrong[:5]}"
+
+    def test_generator_budget_counts_every_reading(self, monkeypatch):
+        # (2,4): 4^2 colors and shifts times 2 * 36 quadrics before dedup
+        # and 36 commutators, 1728 readings. One over the budget stops
+        # before any quadric is built.
+        build = pattern_free_generators.__wrapped__
+        monkeypatch.setattr(groebner, "MAX_GENERATOR_READINGS", 1728)
+        assert build(2, 4) == pattern_free_generators(2, 4)
+        monkeypatch.setattr(groebner, "MAX_GENERATOR_READINGS", 1727)
+
+        def refuse(*args):
+            raise AssertionError("built a generator over the budget")
+        monkeypatch.setattr(ideals, "classical_plucker_generators", refuse)
+        with pytest.raises(ResourceCapExceeded, match="1728"):
+            build(2, 4)
+
+    def test_generator_budget_admits_3_7_and_stops_4_8(self):
+        readings = {(k, n): n * n * (k + 1) * comb(n, k) ** 2
+                    for k, n in ((3, 6), (3, 7), (4, 8), (4, 9))}
+        assert readings[3, 6] == 57600
+        assert readings[3, 7] <= groebner.MAX_GENERATOR_READINGS
+        assert readings[4, 8] > groebner.MAX_GENERATOR_READINGS
+        with pytest.raises(ResourceCapExceeded):
+            global_positroid_ideal(constant_pattern(4, 9), 1)
 
     def test_constant_3_6_antipodal_component_is_flat(self):
         # At m = e_0 + e_3 both fibers have 175 = HF_Gr(3,6)(2). Moving the
