@@ -137,11 +137,12 @@ def pattern_free_generators(k: int, n: int) -> tuple[Polynomial, ...]:
         raise groebner.ResourceCapExceeded(
             f"({k},{n}) has {readings} generator readings, over cap {cap}")
     subsets = all_subsets(k, n)
+    # The (coef, X, Y) terms of each quadric, the same for every color.
+    quadrics = [[(coef, *(KSubset(n, v[2]) for v in m.factors))
+                 for m, coef in q.terms.items()]
+                for q in classical_plucker_generators(k, n, 0)]
     gens = []
     for a in range(n):
-        quadrics = [[(coef, *(KSubset(n, v[2]) for v in m.factors))
-                     for m, coef in q.terms.items()]
-                    for q in classical_plucker_generators(k, n, a)]
         for c in range(n):
             gens.extend(_read_across(a, c, [
                 (coef, Y, X) if X.d_shift(c) < Y.d_shift(c) else (coef, X, Y)

@@ -12,53 +12,53 @@ keyed by pivot, so the pivot columns are `sorted(echelon(rows))`. A kept
 row is primitive and proportional to a vector of minors of the input (with
 its row denominators cleared), so no entry exceeds the Hadamard bound of
 the nonzero input rows, the product of their Euclidean norms.
+
+A kept row carries no record of the factor by which it scales its input
+row; only `det` needs those factors, and it reads them off unit columns
+appended to its rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .poly import sort_sign
 
 # A dense row [entry, ...] or a sparse row {column: entry}.
 _Row = Sequence | Mapping[int, object]
 # The kept rows of an echelon form, keyed by pivot: each a sparse primitive
-# integer row {column: entry} together with its scale.
-Echelon = dict[int, tuple[dict[int, int], Fraction]]
+# integer row {column: entry}.
+Echelon = dict[int, dict[int, int]]
 
 
-def _reduce(kept: Echelon, row: _Row
-            ) -> tuple[int, dict[int, int], Fraction] | None:
+def _reduce(kept: Echelon, row: _Row) -> tuple[int, dict[int, int]] | None:
     """Reduce one row against kept rows, each keyed by its pivot, until
     its lowest column is no pivot of theirs.
 
     Returns None when the row lies in the span of the kept rows. Otherwise
-    returns the remainder's pivot c, its lowest column, the remainder, a
-    sparse primitive integer row {column: entry}, and its scale s: the
-    remainder equals s times the row minus multiples of the kept rows.
+    returns the remainder's pivot c, its lowest column, and the remainder,
+    a sparse primitive integer row {column: entry}: a nonzero multiple of
+    the row minus multiples of the kept rows.
     """
     r = {c: x for c, x in (row.items() if isinstance(row, Mapping)
                            else enumerate(row)) if x}
     d = lcm(*(x.denominator for x in r.values()))
     r = {c: x.numerator * (d // x.denominator) for c, x in r.items()}
-    s = Fraction(d)
     while r:
         g = gcd(*r.values())
         if g != 1:
             r = {c: x // g for c, x in r.items()}
-            s /= g
         c = min(r)
         if c not in kept:
-            return c, r, s
-        p = kept[c][0]
+            return c, r
+        p = kept[c]
         g = gcd(p[c], r[c])
         a, b = p[c] // g, r[c] // g
         if a != 1:
             for j in r:
                 r[j] *= a
-            s *= a
         for j, y in p.items():
             x = r.get(j, 0) - b * y
             if x:
@@ -73,14 +73,14 @@ def echelon(rows: Sequence[_Row]) -> Echelon:
 
     Returns the kept rows in input order, keyed by their pivot, the lowest
     column of the row. A kept row is a sparse primitive integer row
-    {column: entry} together with its scale s: the row equals s times the
-    input row minus multiples of earlier input rows.
+    {column: entry}: a nonzero multiple of its input row minus multiples
+    of earlier input rows.
     """
     kept: Echelon = {}
     for row in rows:
         if reduced := _reduce(kept, row):
-            c, r, s = reduced
-            kept[c] = (r, s)
+            c, r = reduced
+            kept[c] = r
     return kept
 
 
@@ -96,13 +96,28 @@ def rank(rows: Sequence[_Row]) -> int:
 
 
 def det(rows: Sequence[_Row]) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    kept = echelon(rows)
-    if len(kept) < len(rows):
+    """Exact determinant of a square rational matrix, given as k dense
+    rows of length k or k sparse rows with columns in [0, k).
+
+    Row i gets the unit column k + i. Its kept row is s_i times the row
+    minus multiples of earlier kept rows, which have no entry at k + i, so
+    it reads s_i there. A pivot of k or more means the rows are dependent.
+    Otherwise the first k columns of the kept rows, sorted by pivot, are
+    triangular with their leads on the diagonal, and their determinant is
+    det(rows) * prod(s_i).
+    """
+    k = len(rows)
+    unit = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, Mapping):
+            if len(row) != k:
+                raise ValueError(f"row {i} has length {len(row)}, not {k}")
+            row = dict(enumerate(row))
+        elif any(not 0 <= c < k for c in row):
+            raise ValueError(f"row {i} has a column outside [0, {k})")
+        unit.append({**row, k + i: 1})
+    kept = echelon(unit)
+    if any(c >= k for c in kept):
         return Fraction(0)
-    # The kept rows have determinant det(rows) * prod(s); sorted by pivot
-    # they are triangular, with their leads on the diagonal.
-    out = Fraction(sort_sign(kept)[0])
-    for c, (r, s) in kept.items():
-        out *= r[c] / s
-    return out
+    return Fraction(sort_sign(kept)[0] * prod(r[c] for c, r in kept.items()),
+                    prod(r[k + i] for i, r in enumerate(kept.values())))

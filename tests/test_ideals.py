@@ -20,8 +20,8 @@ from positroid.ideals import (
     transport,
 )
 from positroid.k1basis import is_admissible
-from positroid.patterns import (JugglingPattern, KSubset, enumerate_patterns,
-                                rotate)
+from positroid.patterns import (JugglingPattern, KSubset, all_subsets,
+                                enumerate_patterns, rotate)
 from positroid.poly import EPSILON, Monomial, Polynomial, poly_to_text
 
 
@@ -91,6 +91,21 @@ class TestSchubertGenerators:
         expected = {poly_to_text(D(b, i)) for b, i in
                     [(0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (2, 3)]}
         assert {poly_to_text(g) for g in gens} == expected
+
+    @pytest.mark.parametrize("k, n", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                                      (2, 4), (2, 5), (3, 5)])
+    def test_vanishing_is_closed_under_the_shifts(self, k, n):
+        # One shift step closes the vanishing set: whenever
+        # Delta^(a+c)_(I-c) vanishes, so does Delta^(a)_I.
+        for J in enumerate_patterns(k, n):
+            vanishing = {v[1:] for g in schubert_vanishing_generators(J)
+                         for m in g.terms for v in m.factors}
+            assert not [
+                (a, I.elements, c)
+                for a in range(n) for I in all_subsets(k, n)
+                for c in range(n)
+                if ((a + c) % n, I.shift(c).elements) in vanishing
+                and (a, I.elements) not in vanishing], str(J)
 
 
 class TestEpsilonRelations:

@@ -35,6 +35,18 @@ def _sympy_matrix(sympy, rows):
                          for row in rows for x in row])
 
 
+def _sparse(rows, data):
+    # Each sparse row keeps a drawn subset of its zeros, in a drawn column
+    # order, so explicit zero values and empty dicts both occur.
+    sparse = []
+    for row in rows:
+        order = data.draw(st.permutations(range(len(row))), label="order")
+        sparse.append({c: row[c] for c in order
+                       if row[c] or data.draw(st.booleans(),
+                                              label="keep zero")})
+    return sparse
+
+
 class TestOracle:
     @settings(max_examples=100, deadline=None)
     @given(matrices)
@@ -47,15 +59,8 @@ class TestOracle:
     @settings(max_examples=100, deadline=None)
     @given(matrices, st.data())
     def test_sparse_rows_match_dense_and_sympy(self, rows, data):
-        # Each sparse row keeps a drawn subset of its zeros, in a drawn
-        # column order, so explicit zero values and empty dicts both occur.
         sympy = pytest.importorskip("sympy")
-        sparse = []
-        for row in rows:
-            order = data.draw(st.permutations(range(len(row))), label="order")
-            sparse.append({c: row[c] for c in order
-                           if row[c] or data.draw(st.booleans(),
-                                                  label="keep zero")})
+        sparse = _sparse(rows, data)
         ref = _sympy_matrix(sympy, rows)
         assert linalg.rank(sparse) == linalg.rank(rows) == ref.rank()
         assert sorted(linalg.echelon(sparse)) == \
@@ -88,11 +93,21 @@ class TestOracle:
         assert linalg.rank([{}, {}]) == 0
 
     @settings(max_examples=100, deadline=None)
-    @given(square_matrices)
-    def test_det_matches_sympy(self, rows):
+    @given(square_matrices, st.data())
+    def test_det_matches_sympy(self, rows, data):
         sympy = pytest.importorskip("sympy")
         ref = _sympy_matrix(sympy, rows).det()
-        assert linalg.det(rows) == Fraction(int(ref.p), int(ref.q))
+        expected = Fraction(int(ref.p), int(ref.q))
+        assert linalg.det(rows) == expected
+        assert linalg.det(_sparse(rows, data)) == expected
+
+    def test_det_of_a_large_matrix_matches_sympy(self):
+        # Deeper than the drawn matrices: each row's unit column lies past
+        # 29 reductions against earlier rows.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0)
+        rows = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
+        assert linalg.det(rows) == int(sympy.Matrix(rows).det())
 
 
 class TestRowOperations:
@@ -134,6 +149,13 @@ class TestEdgeCases:
     def test_empty_matrix_has_rank_zero(self):
         assert linalg.rank([]) == 0
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 2]], [[1, 2, 3], [0, 1, 1]], [[1], [2, 0]],
+        [{1: 2}], [{0: 1}, {2: 0}], [{-1: 1}, {0: 1}]])
+    def test_det_rejects_non_square_rows(self, rows):
+        with pytest.raises(ValueError):
+            linalg.det(rows)
+
     def test_zero_row_has_rank_zero(self):
         assert linalg.rank([[0, 0]]) == 0
 
@@ -147,6 +169,6 @@ def test_kept_entries_within_hadamard_bound():
     bound_bits = math.isqrt(hadamard_sq).bit_length()
     kept = linalg.echelon(rows)
     assert len(kept) == 80
-    bits = max(abs(x).bit_length() for r, _ in kept.values()
+    bits = max(abs(x).bit_length() for r in kept.values()
                for x in r.values())
     assert bits <= bound_bits
