@@ -213,6 +213,9 @@ def cmd_flatness(k, n, pattern, sweep_all, max_degree, epsilon_list):
     """Check graded dimensions are constant in epsilon (and match the
     admissible count for k=1)."""
     epsilons = _parse_epsilons(epsilon_list)
+    if len(epsilons) < 2:
+        raise click.UsageError(
+            f"flatness needs at least two epsilons, got {epsilon_list!r}")
     if bool(pattern) == sweep_all:
         raise click.UsageError("give exactly one of PATTERN and --all")
     patterns = ([parse_pattern(pattern)] if pattern

@@ -10,10 +10,11 @@ generator and a monomial.
 
 A sweep asks for the same component of one pattern at several values of
 eps, and its basis and cofactor monomials depend only on (k, n, m) and the
-vanishing set, which is the same at every eps. `graded_component_dim`
-takes both from `_component_monomials`, keyed by (k, n, m, vanishing) and
-bounded to the last 8 keys: one m and the cofactor multidegrees of its
-generator groups.
+vanishing set, which is the same at every eps. `component_monomials` is
+the one memo of a component, a {monomial: column} map keyed by (k, n, m,
+vanishing) and bounded to the last 8 keys: one m and the cofactor
+multidegrees of its generator groups. `k1basis` reads the same entries,
+as for k = 1 the vanishing set is the set of variables off the ones locus.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
 
 
 @lru_cache(maxsize=8)
-def _component_monomials(k: int, n: int, m: tuple[int, ...],
-                         zero: frozenset[Var]) -> tuple:
-    # The monomials of multidegree m outside `zero` and their column index,
-    # shared by every eps of a sweep; read-only.
-    basis = tuple(monomials_of_multidegree(k, n, m, zero))
-    return basis, {mono: i for i, mono in enumerate(basis)}
+def component_monomials(k: int, n: int, m: tuple[int, ...],
+                        excluded: frozenset[Var]) -> dict[Monomial, int]:
+    """`monomials_of_multidegree(k, n, m, excluded)`, each monomial mapped
+    to its column in that order; shared, so read-only."""
+    return {mono: i for i, mono in
+            enumerate(monomials_of_multidegree(k, n, m, excluded))}
 
 
 def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
@@ -74,13 +75,13 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
         raise ValueError("specialize epsilon before computing graded "
                          "component dimensions")
     k, n, zero = ideal.k, ideal.n, ideal.vanishing
-    basis, index = _component_monomials(k, n, tuple(m), zero)
+    column = component_monomials(k, n, tuple(m), zero)
     rows = []
     for d, gens in ideal.by_multidegree:
         diff = tuple(mb - db for mb, db in zip(m, d))
         if any(x < 0 for x in diff):
             continue
-        cofactors, _ = _component_monomials(k, n, diff, zero)
-        rows += ({index[mono * mu]: c for mono, c in g.terms.items()}
+        cofactors = component_monomials(k, n, diff, zero)
+        rows += ({column[mono * mu]: c for mono, c in g.terms.items()}
                  for g, mu in product(gens, cofactors))
-    return len(basis) - linalg.rank(rows)
+    return len(column) - linalg.rank(rows)

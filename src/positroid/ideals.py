@@ -18,9 +18,10 @@ and deduplicated once per (k, n, eps), J's Schubert vanishing monomials,
 which do not depend on eps, are built once per pattern, and the ideal's
 normal form renormalizes only the generators that a vanishing variable
 touches. Both are shared through caches bounded to their last 8 keys,
-(k, n, eps) and the pattern J. The pattern-free family itself is built
-once per (k, n), and only when its count of readings is within
-`groebner.MAX_GENERATOR_READINGS`.
+(k, n, eps) and the pattern J, and nothing under the latter is cached.
+The pattern-free family itself is built once per (k, n), in the one
+unbounded cache of the package, and only when its count of readings is
+within `groebner.MAX_GENERATOR_READINGS`.
 """
 
 from __future__ import annotations
@@ -71,19 +72,13 @@ def schubert_vanishing_generators(J: JugglingPattern) -> list[Polynomial]:
     """
     n = J.n
     entries = [E.elements for E in J.entries]
+    shifted = [(I.elements, [I.shift(c).elements for c in range(n)])
+               for I in all_subsets(J.k, n)]
     # Some c with J_(a+c) not <= I - c, componentwise.
     return [Polynomial.plucker(a, I)
-            for a in range(n) for I, shifts in _shifted_subsets(J.k, n)
+            for a in range(n) for I, shifts in shifted
             if any(any(j > i for j, i in zip(entries[(a + c) % n], Ic))
                    for c, Ic in enumerate(shifts))]
-
-
-@lru_cache(maxsize=None)
-def _shifted_subsets(k: int, n: int) -> tuple:
-    # The (I, (I - 0, ..., I - (n-1))) element tuples of every k-subset I
-    # of [n] in lex order, shifted once per (k, n).
-    return tuple((I.elements, tuple(I.shift(c).elements for c in range(n)))
-                 for I in all_subsets(k, n))
 
 
 def transport(a: int, I: KSubset, c: int) -> tuple[int, Polynomial]:

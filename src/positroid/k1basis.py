@@ -7,9 +7,10 @@ evaluation rank on count + 3 points at eps=1 with integer parameters in
 A k = 1 monomial is a `poly.Monomial` in the variables ("D", b, (i,)).
 A variable sorts by color b, then index i, so the factors of color b read
 off `Monomial.factors` as a sorted index list. The admissible monomials of
-a multidegree are `hilbert.monomials_of_multidegree` outside the ones-locus
-variables, filtered by the descent test, so their enumeration meets
-`MAX_COMPONENT_MONOMIALS` before any monomial is built."""
+a multidegree are the keys of `hilbert.component_monomials` outside the
+ones-locus variables, the pattern ideal's vanishing set, filtered by the
+descent test; the enumeration meets `MAX_COMPONENT_MONOMIALS` before any
+monomial is built."""
 
 from __future__ import annotations
 
@@ -110,8 +111,8 @@ def rewrite_to_normal_form(mon: Monomial, J: JugglingPattern):
 def enumerate_admissible(J: JugglingPattern,
                          m: tuple[int, ...]) -> list[Monomial]:
     """All J-admissible monomials of multidegree m, lexicographically."""
-    mons = hilbert.monomials_of_multidegree(1, J.n, m, _off_ones_locus(J))
-    return [mon for mon in mons
+    return [mon for mon in hilbert.component_monomials(
+                1, J.n, tuple(m), _off_ones_locus(J))
             if _find_violation(_index_lists(mon, J.n)) is None]
 
 

@@ -59,9 +59,6 @@ class KSubset:
         cb = c % self.n
         return sum(1 for i in self.elements if i <= cb)
 
-    def __str__(self):
-        return "{" + ",".join(map(str, self.elements)) + "}"
-
 
 def all_subsets(k: int, n: int) -> list[KSubset]:
     """All k-subsets of [n] in lexicographic order."""
@@ -153,9 +150,6 @@ class AnchorSet:
     @property
     def k(self) -> int:
         return len(self.elements)
-
-    def __str__(self):
-        return "{" + ",".join(map(str, self.elements)) + "}"
 
 
 def pattern_from_anchor(S: AnchorSet) -> JugglingPattern:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from positroid import cli, groebner, k1basis
+from positroid import cli, groebner, hilbert, k1basis
 from positroid.cli import main
 from positroid.fibers import torus_fixed_point
 from positroid.groebner import GroebnerBasis
@@ -305,6 +305,10 @@ class TestInvalidInput:
         ("components", "|".join(["1234"] * 9)),
         # About 12M monomials in the full ring, refused before any is built.
         ("basis", "--pattern", "1,1,1", "--multidegree", "20,20,20"),
+        # A pattern of another shape than K N.
+        ("flatness", "2", "3", "1,1,2"),
+        # One eps compares no fibers.
+        ("flatness", "2", "4", "12|12|12|12", "--epsilon-list", "5"),
     ])
     def test_usage_error_without_traceback(self, args, tmp_path):
         # "POINT" stands for a file holding GOOD_POINT, "POINT:name" for one
@@ -346,6 +350,22 @@ class TestInvalidInput:
         res = run("flatness", "1", "3", "1,1,1", "--max-degree", "2")
         assert res.exit_code == 2, res.output
         assert "Error: 10 flatness cases exceed cap 9" in res.output
+
+    def test_flatness_records_component_cap_hits(self, monkeypatch):
+        # Each m = e_a + e_b, a != b, has 3 * 3 = 9 monomials in the full
+        # ring, over a cap of 8; the seven other cases of |m| <= 2 pass.
+        hilbert.component_monomials.cache_clear()
+        monkeypatch.setattr(groebner, "MAX_COMPONENT_MONOMIALS", 8)
+        res = run("flatness", "1", "3", "1,1,1", "--max-degree", "2",
+                  "--json")
+        assert res.exit_code == 1, res.output
+        cases = json.loads(res.output)["cases"]
+        failed = {c["case"]: c["error"] for c in cases if not c["pass"]}
+        assert failed == {
+            f"1,1,1|m={m}": f"multidegree ({m.replace(',', ', ')}) has more "
+                            "than 8 monomials"
+            for m in ("0,1,1", "1,0,1", "1,1,0")}
+        assert sum(c["pass"] for c in cases) == 7
 
     def test_largest_documented_sweep_is_under_the_case_cap(self):
         # README's `flatness 3 6 --all --max-degree 2`.

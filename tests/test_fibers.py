@@ -255,6 +255,11 @@ class TestK1Point:
         with pytest.raises(FiberError):
             k1_point(J, {}, 1)
 
+    def test_requires_k_1(self):
+        J = P(2, 3, (1, 2), (1, 2), (1, 2))
+        with pytest.raises(FiberError, match="requires k = 1"):
+            k1_point(J, {0: F(1)}, 1)
+
     def test_point_lies_in_fiber_at_generic_epsilon(self):
         J = P(1, 3, (1,), (1,), (2,))
         for eps in (1, 2, F(-1, 3)):

@@ -60,6 +60,15 @@ class TestBuchberger:
         expected = D(0, 1, 3) * D(0, 2, 4) - D(0, 1, 4) * D(0, 2, 3)
         assert nf == expected
 
+    def test_variables_outside_the_universe_rejected(self):
+        # A color-1 variable in the ring of color 0.
+        vars_ = _color_0_vars(2, 4)
+        with pytest.raises(ValueError, match="outside the universe"):
+            buchberger([D(0, 1, 2), D(1, 1, 2)], vars_)
+        gb = buchberger([D(0, 1, 2)], vars_)
+        with pytest.raises(ValueError, match="outside the universe"):
+            gb.normal_form(D(0, 1, 2) * D(1, 1, 2))
+
     def test_normal_form_idempotent_and_annihilates_generators(self):
         vars_ = _color_0_vars(2, 4)
         gens = classical_plucker_generators(2, 4, 0)

@@ -249,7 +249,7 @@ def _sweep_dims(epsilons, cold):
             for m in mds:
                 for eps, ideal in specialized.items():
                     if cold:
-                        hilbert._component_monomials.cache_clear()
+                        hilbert.component_monomials.cache_clear()
                     dims[str(J), m, eps] = graded_component_dim(ideal, m)
     return dims
 

@@ -166,9 +166,9 @@ def test_no_dead_module_names():
 
 
 
-# Caches keyed by (k, n) alone: a process meets few shapes, and each
+# The one cache keyed by (k, n) alone: a process meets few shapes, and each
 # pattern-free family is bounded by groebner.MAX_GENERATOR_READINGS.
-UNBOUNDED_CACHES = {"pattern_free_generators", "_shifted_subsets"}
+UNBOUNDED_CACHES = {"pattern_free_generators"}
 
 
 def _is_unbounded_cache(decorator):

@@ -8,6 +8,7 @@ import pytest
 
 from positroid import groebner, hilbert
 from positroid.groebner import ResourceCapExceeded
+from positroid.ideals import global_positroid_ideal
 from positroid.k1basis import (
     ZeroInQuotient,
     count_admissible,
@@ -72,6 +73,38 @@ class TestAdmissibility:
         assert is_admissible(mono("D0_1"), J)
         assert not is_admissible(mono("D0_2"), J)
 
+    def test_admissibility_requires_k_1(self):
+        J = P(2, 3, (1, 2), (1, 2), (1, 2))
+        with pytest.raises(ValueError, match="k = 1"):
+            is_admissible(mono("D0_1"), J)
+
+    @pytest.mark.parametrize("cold", [False, True])
+    def test_enumeration_is_its_definition(self, cold):
+        # The admissible monomials of the full component, in its order,
+        # whether or not the shared component is already kept.
+        for n, bound in ((2, 3), (3, 3), (4, 3), (5, 2)):
+            for J in enumerate_patterns(1, n):
+                for m in multidegrees(n, bound):
+                    if cold:
+                        hilbert.component_monomials.cache_clear()
+                    full = hilbert.monomials_of_multidegree(1, n, m)
+                    assert enumerate_admissible(J, m) == [
+                        mon for mon in full if is_admissible(mon, J)]
+
+    def test_count_reads_the_component_of_the_ideal(self, monkeypatch):
+        # For k = 1 the ideal's vanishing set is the set of variables off
+        # the ones locus, so the count reuses the component just built.
+        J, m = P(1, 4, (2,), (1,), (1,), (3,)), (1, 0, 1, 1)
+        hilbert.component_monomials.cache_clear()
+        dim = hilbert.graded_component_dim(global_positroid_ideal(J, 1), m)
+        calls = []
+        enumerate_full = hilbert.monomials_of_multidegree
+        monkeypatch.setattr(hilbert, "monomials_of_multidegree",
+                            lambda *args: calls.append(args)
+                            or enumerate_full(*args))
+        assert count_admissible(J, m) == dim
+        assert calls == []
+
     def test_counting_identity_small_sweep(self):
         for n in (2, 3, 4):
             for J in enumerate_patterns(1, n):
@@ -80,7 +113,9 @@ class TestAdmissibility:
 
     def test_enumeration_meets_the_component_cap(self, monkeypatch):
         # (1, 1, 1) has 27 monomials in the full ring, 10 of them
-        # admissible; the cap is decided before any is built.
+        # admissible; the cap is decided before any is built, and a
+        # component kept from an earlier call is not rebuilt.
+        hilbert.component_monomials.cache_clear()
         monkeypatch.setattr(groebner, "MAX_COMPONENT_MONOMIALS", 5)
         with pytest.raises(ResourceCapExceeded):
             count_admissible(constant(3), (1, 1, 1))

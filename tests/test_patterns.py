@@ -60,6 +60,9 @@ class TestKSubset:
     def test_leq_is_componentwise(self):
         assert KSubset(4, (1, 2)).leq(KSubset(4, (2, 3)))
         assert not KSubset(4, (1, 4)).leq(KSubset(4, (2, 3)))
+        for other in (KSubset(4, (2,)), KSubset(5, (2, 3))):
+            with pytest.raises(PatternError, match="same k and n"):
+                KSubset(4, (1, 2)).leq(other)
 
     def test_invalid_subset_rejected(self):
         with pytest.raises(PatternError):
@@ -68,6 +71,9 @@ class TestKSubset:
             KSubset(3, (1, 1))
         with pytest.raises(PatternError):
             KSubset(3, (2, 4))
+        for elements in ((), (1, 2, 3)):
+            with pytest.raises(PatternError, match="need 0 < k < n"):
+                KSubset(3, elements)
 
 
 class TestJugglingPattern:
@@ -95,6 +101,21 @@ class TestJugglingPattern:
     def test_leq_componentwise(self):
         assert P(1, 3, (1,), (1,), (1,)).leq(P(1, 3, (2,), (1,), (3,)))
         assert not P(1, 3, (2,), (1,), (3,)).leq(P(1, 3, (1,), (1,), (1,)))
+        # Without its own check, the entries' check would raise instead.
+        with pytest.raises(PatternError, match="patterns must share"):
+            P(1, 3, (1,), (1,), (1,)).leq(P(1, 4, (1,), (1,), (1,), (1,)))
+
+    @pytest.mark.parametrize("k, n, entries, message", [
+        (0, 0, (), "need 0 < k < n"),
+        (2, 0, (), "need 0 < k < n"),
+        (1, 3, ((3, (1,)), (3, (1,))), "expected 3 entries"),
+        (1, 3, ((3, (1,)), (3, (1,)), (3, (1, 2))), "entry 2 has wrong shape"),
+        (1, 3, ((3, (1,)), (3, (1,)), (4, (1,))), "entry 2 has wrong shape"),
+    ])
+    def test_malformed_pattern_rejected(self, k, n, entries, message):
+        # Each input passes every other check of the constructor.
+        with pytest.raises(PatternError, match=message):
+            JugglingPattern(k, n, tuple(KSubset(*e) for e in entries))
 
     def test_rotate_shifts_vertices(self):
         J = P(1, 3, (2,), (1,), (3,))
@@ -149,6 +170,12 @@ class TestAnchors:
 
     def test_anchor_normalized_mod_n(self):
         assert AnchorSet(3, (3,)) == AnchorSet(3, (0,))
+
+    def test_invalid_anchor_rejected(self):
+        with pytest.raises(PatternError, match="not distinct mod 3"):
+            AnchorSet(3, (0, 3))
+        with pytest.raises(PatternError, match=r"0 < \|S\| < n"):
+            AnchorSet(3, ())
 
     def test_anchor_patterns_are_valid(self):
         for n in range(2, 6):

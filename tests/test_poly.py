@@ -139,6 +139,12 @@ class TestEpsilonAndEvaluation:
         with pytest.raises(ValueError):
             make(-1)
 
+    @pytest.mark.parametrize("elements", [(2, 1), (1, 1), (1, 3, 2)])
+    def test_plucker_var_rejects_unsorted_or_repeated_indices(self,
+                                                               elements):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            plucker_var(0, elements)
+
 
 class TestMonomialOrder:
     @settings(max_examples=60, deadline=None)
