@@ -174,10 +174,11 @@ class GroebnerBasis:
 
     def krull_dimension(self) -> int:
         """Dimension of the quotient: maximum number of variables whose
-        span meets no leading monomial's support."""
+        span meets no leading monomial's support; -1 for the unit ideal,
+        whose quotient is the zero ring (V(1) is empty)."""
         supports = {frozenset(m.factors) for m in self._leads}
         if frozenset() in supports:
-            return 0  # the ideal is the whole ring; dimension of V(1) = 0
+            return -1
         # keep only minimal supports
         minimal = [s for s in supports
                    if not any(t < s for t in supports)]

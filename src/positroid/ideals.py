@@ -15,7 +15,8 @@ A flatness check asks for the ideal of every pattern of one (k, n) at the
 same few values of eps. `global_positroid_ideal(J, eps)` builds the
 specialized ideal directly: the pattern-free generators are specialized
 and deduplicated once per (k, n, eps), J's Schubert vanishing monomials,
-which do not depend on eps, are built once per pattern, and the ideal's
+which do not depend on eps, are built once per pattern by
+`schubert_vanishing_generators`, which is its own memo, and the ideal's
 normal form renormalizes only the generators that a vanishing variable
 touches. Both are shared through caches bounded to their last 8 keys,
 (k, n, eps) and the pattern J, and nothing under the latter is cached.
@@ -55,7 +56,11 @@ def classical_plucker_generators(k: int, n: int, a: int) -> list[Polynomial]:
     return dedup(gens)
 
 
-def schubert_vanishing_generators(J: JugglingPattern) -> list[Polynomial]:
+# The Schubert vanishing monomials of the last 8 patterns: a flatness sweep
+# builds one pattern's ideal at a few values of eps in a row.
+@lru_cache(maxsize=8)
+def schubert_vanishing_generators(J: JugglingPattern
+                                  ) -> tuple[Polynomial, ...]:
     """Linear monomials Delta^(a)_I for every color a and every I with
     J_(a+c) not <= I - c for some shift c in [0, n).
 
@@ -75,10 +80,10 @@ def schubert_vanishing_generators(J: JugglingPattern) -> list[Polynomial]:
     shifted = [(I.elements, [I.shift(c).elements for c in range(n)])
                for I in all_subsets(J.k, n)]
     # Some c with J_(a+c) not <= I - c, componentwise.
-    return [Polynomial.plucker(a, I)
-            for a in range(n) for I, shifts in shifted
-            if any(any(j > i for j, i in zip(entries[(a + c) % n], Ic))
-                   for c, Ic in enumerate(shifts))]
+    return tuple(Polynomial.plucker(a, I)
+                 for a in range(n) for I, shifts in shifted
+                 if any(any(j > i for j, i in zip(entries[(a + c) % n], Ic))
+                        for c, Ic in enumerate(shifts)))
 
 
 def transport(a: int, I: KSubset, c: int) -> tuple[int, Polynomial]:
@@ -101,7 +106,7 @@ def _read_across(a: int, c: int, terms: list[tuple]) -> Polynomial:
             for coef, X, Y in terms for d, t in [transport(a, Y, c)]]
     top = max(d for d, _ in read)
     return sum((Polynomial.epsilon(top - d) * p for d, p in read),
-               Polynomial.zero())
+               Polynomial())
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +149,7 @@ def pattern_free_generators(k: int, n: int) -> tuple[Polynomial, ...]:
                 for coef, X, Y in q]) for q in quadrics)
             gens.extend(_read_across(a, c, [(1, I, Jp), (-1, Jp, I)])
                         for I, J in product(subsets, subsets)
-                        for Jp in [J.unshift(c)])
+                        for Jp in [J.shift(-c)])
     return tuple(dedup(gens))
 
 
@@ -157,13 +162,6 @@ def _specialized_pattern_free_generators(k: int, n: int, epsilon: Fraction
                        for g in pattern_free_generators(k, n)))
 
 
-# The Schubert vanishing monomials of the last 8 patterns: a flatness sweep
-# builds one pattern's ideal at a few values of eps in a row.
-@lru_cache(maxsize=8)
-def _schubert_vanishing(J: JugglingPattern) -> tuple[Polynomial, ...]:
-    return tuple(schubert_vanishing_generators(J))
-
-
 def global_positroid_ideal(J: JugglingPattern, epsilon=None) -> Ideal:
     """The ideal generated by the shift-closed Schubert vanishing monomials
     of J and the pattern-free generators; with a rational `epsilon`, the
@@ -171,13 +169,13 @@ def global_positroid_ideal(J: JugglingPattern, epsilon=None) -> Ideal:
     .specialize(epsilon)` with the generators in the same order.
 
     The vanishing monomials with a shift c >= 1 lie in the saturation of
-    the ideal generated by the unshifted ones and the shift relations, with
+    the ideal generated by those of shift 0 and the shift relations, with
     respect to epsilon and the product of the color irrelevant ideals;
     without them that ideal carries torsion at multidegrees with a zero
     entry, so its graded dimensions there describe no property of the
     fibers. `Ideal` drops their variables from the other generators.
     """
-    schubert = _schubert_vanishing(J)
+    schubert = schubert_vanishing_generators(J)
     if epsilon is None:
         return Ideal(J.k, J.n, schubert + pattern_free_generators(J.k, J.n))
     return Ideal(J.k, J.n, schubert + _specialized_pattern_free_generators(

@@ -10,13 +10,15 @@ off `Monomial.factors` as a sorted index list. The admissible monomials of
 a multidegree are the keys of `hilbert.component_monomials` outside the
 ones-locus variables, the pattern ideal's vanishing set, filtered by the
 descent test; the enumeration meets `MAX_COMPONENT_MONOMIALS` before any
-monomial is built."""
+monomial is built. The set of variables off the ones locus is kept for
+the last 8 patterns, like the other per-pattern memos."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
 
 from . import hilbert, ideals, linalg
@@ -36,6 +38,9 @@ class NormalForm:
     monomial: Monomial
 
 
+# The sets of the last 8 patterns: one object per pattern, so the key of
+# `hilbert.component_monomials` hashes it once.
+@lru_cache(maxsize=8)
 def _off_ones_locus(J: JugglingPattern) -> frozenset[Var]:
     """The variables ("D", b, (i,)) whose diagonal (b + i - 1) mod n lies
     outside the ones locus: zero in the quotient."""

@@ -50,10 +50,6 @@ class KSubset:
         out = [i - cb if i > cb else i - cb + self.n for i in self.elements]
         return KSubset(self.n, tuple(sorted(out)))
 
-    def unshift(self, c: int) -> "KSubset":
-        """The subset I + c, the inverse of the -c shift."""
-        return self.shift(-c)
-
     def d_shift(self, c: int) -> int:
         """The count d_c(I) of elements wrapped by the -c shift."""
         cb = c % self.n

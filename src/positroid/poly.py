@@ -112,10 +112,6 @@ class Polynomial:
                       if (x := Fraction(c))}
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def constant(cls, c) -> "Polynomial":
         return cls({MONOMIAL_ONE: Fraction(c)})
 
@@ -135,11 +131,8 @@ class Polynomial:
         """Sign-canonicalized Pluecker variable; zero on repeated indices."""
         sign, sorted_idx = sort_sign(indices)
         if sign == 0:
-            return cls.zero()
+            return cls()
         return cls({Monomial([("D", a, sorted_idx)]): Fraction(sign)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -179,7 +172,7 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         if not c:
-            return Polynomial.zero()
+            return Polynomial()
         return Polynomial._of({m: c * v for m, v in self.terms.items()})
 
     def variables(self) -> set[Var]:

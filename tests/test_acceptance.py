@@ -8,7 +8,7 @@ arithmetic; there are no tolerances.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from positroid import patterns
@@ -35,13 +35,12 @@ from positroid.k1basis import (
 )
 from positroid.patterns import (
     AnchorSet,
-    JugglingPattern,
-    KSubset,
     components_of_special_fiber,
     enumerate_patterns,
     pattern_from_anchor,
 )
 from positroid.poly import plucker_var
+from support import constant_pattern, multidegrees
 
 
 def _report(num: int, label: str, failures: list, started: float):
@@ -53,16 +52,6 @@ def _report(num: int, label: str, failures: list, started: float):
     else:
         print(f"[pass] criterion {num} ({label}) [{elapsed:.1f}s]")
     assert not failures, f"criterion {num}: {failures[:5]}"
-
-
-def _multidegrees(n: int, bound: int):
-    return [m for m in product(range(bound + 1), repeat=n)
-            if sum(m) <= bound]
-
-
-def _constant(k: int, n: int) -> JugglingPattern:
-    return JugglingPattern(k, n, tuple(KSubset(n, tuple(range(1, k + 1)))
-                                       for _ in range(n)))
 
 
 def test_criterion_1_pattern_counts(monkeypatch):
@@ -80,7 +69,7 @@ def test_criterion_2_counting_identity():
     started = time.time()
     failures = []
     for n in range(2, 6):
-        mdegs = _multidegrees(n, 4)
+        mdegs = multidegrees(n, 4)
         for J in enumerate_patterns(1, n):
             for m in mdegs:
                 got = count_admissible(J, m)
@@ -97,7 +86,7 @@ def test_criterion_3_flatness_k1():
     count_mismatch = []
     epsilons = (0, 1, 2, -1)
     for n in range(2, 5):
-        mdegs = _multidegrees(n, 3)
+        mdegs = multidegrees(n, 3)
         for J in enumerate_patterns(1, n):
             ideal = global_positroid_ideal(J)
             spec = [ideal.specialize(e) for e in epsilons]
@@ -124,9 +113,9 @@ def test_criterion_3_flatness_k2():
     started = time.time()
     failures = []
     pats = enumerate_patterns(2, 4)
-    chosen = [_constant(2, 4)] + \
+    chosen = [constant_pattern(2, 4)] + \
         [p for p in pats if len(set(p.entries)) > 1][:3]
-    mdegs = _multidegrees(4, 2)
+    mdegs = multidegrees(4, 2)
     for J in chosen:
         ideal = global_positroid_ideal(J)
         spec = [ideal.specialize(e) for e in (0, 1)]
@@ -147,7 +136,7 @@ def test_criterion_4_component_counts():
             if got != J.ell:
                 failures.append((str(J), got, J.ell))
         for k in range(1, n):
-            const = _constant(k, n)
+            const = constant_pattern(k, n)
             got = len(components_of_special_fiber(const))
             if got != comb(n, k):
                 failures.append((str(const), got, comb(n, k)))
@@ -160,7 +149,7 @@ def test_criterion_5_dimension_equality():
     # The constant (1,6) pattern has the largest basis of k = 1, n <= 6:
     # 225 elements, Krull dimension 11.
     cases = [J for n in range(2, 6) for J in enumerate_patterns(1, n)]
-    for J in cases + [_constant(1, 6)]:
+    for J in cases + [constant_pattern(1, 6)]:
         ideal = global_positroid_ideal(J)
         dims = []
         for eps in (1, 0):
@@ -217,9 +206,9 @@ def test_criterion_8_rewriting_soundness():
     started = time.time()
     failures = []
     for n in range(2, 5):
-        const = _constant(1, n)
+        const = constant_pattern(1, n)
         points = sample_points(const, 5)
-        for m in _multidegrees(n, 4):
+        for m in multidegrees(n, 4):
             for mon in monomials_of_multidegree(1, n, m):
                 nf, trace = rewrite_to_normal_form(mon, const)
                 if nf.epsilon_power < 0:

@@ -26,7 +26,6 @@ from positroid.fibers import (
 )
 from positroid.patterns import (
     AnchorSet,
-    JugglingPattern,
     KSubset,
     all_subsets,
     components_of_special_fiber,
@@ -34,10 +33,7 @@ from positroid.patterns import (
     pattern_from_anchor,
 )
 from positroid.poly import EPSILON, parse_rational, plucker_var
-
-
-def P(k, n, *entries):
-    return JugglingPattern(k, n, tuple(KSubset(n, e) for e in entries))
+from support import P
 
 
 F = Fraction

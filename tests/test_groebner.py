@@ -16,10 +16,7 @@ from positroid.ideals import (classical_plucker_generators,
                               global_positroid_ideal)
 from positroid.patterns import parse_pattern
 from positroid.poly import EPSILON, Monomial, Polynomial, plucker_var
-
-
-def D(a, *idx):
-    return Polynomial.plucker(a, idx)
+from support import D
 
 
 def _color_0_vars(k, n):
@@ -74,7 +71,7 @@ class TestBuchberger:
         gens = classical_plucker_generators(2, 4, 0)
         gb = buchberger(gens, vars_)
         for g in gens:
-            assert gb.normal_form(g).is_zero()
+            assert not gb.normal_form(g)
         p = D(0, 1, 2) * D(0, 3, 4) + D(0, 1, 3)
         assert gb.normal_form(gb.normal_form(p)) == gb.normal_form(p)
 
@@ -144,6 +141,15 @@ class TestKrullDimension:
         vars_ = _simple_vars(4)
         gens = [Polynomial.variable(v) for v in vars_]
         assert buchberger(gens, vars_).krull_dimension() == 0
+
+    def test_unit_ideal_has_dimension_minus_one(self):
+        # V(1) is empty and S/(1) is the zero ring: dimension -1, one less
+        # than the point that all the variables cut out. x and x - 1
+        # generate 1 with no constant among them.
+        vars_ = _simple_vars(2)
+        x, one = Polynomial.variable(vars_[0]), Polynomial.constant(1)
+        for gens in ([one.scale(3)], [x, x - one]):
+            assert buchberger(gens, vars_).krull_dimension() == -1
 
 
 class TestIdealWrapper:
@@ -223,9 +229,9 @@ class TestDivisionProperties:
         for i in range(len(basis)):
             for j in range(i):
                 s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
-                assert gb.normal_form(s).is_zero()
+                assert not gb.normal_form(s)
         for g in gens:
-            assert gb.normal_form(g).is_zero()
+            assert not gb.normal_form(g)
 
     @settings(max_examples=40, deadline=None)
     @given(ideal_and_vars, st.randoms(use_true_random=False))
@@ -306,9 +312,9 @@ class TestPositroidBases:
         for i in range(len(basis)):
             for j in range(i):
                 s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
-                assert gb.normal_form(s).is_zero()
+                assert not gb.normal_form(s)
         for g in ideal.generators:
-            assert gb.normal_form(g).is_zero()
+            assert not gb.normal_form(g)
         # reduced: monic leads, none dividing another
         assert all(p.terms[m] == 1 for p, m in zip(basis, leads))
         for i, a in enumerate(leads):

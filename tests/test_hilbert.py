@@ -4,7 +4,6 @@ against the full-ring computation."""
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -18,18 +17,9 @@ from positroid.ideals import (
 )
 from positroid.patterns import enumerate_patterns, parse_pattern
 from positroid.poly import Polynomial
+from support import D, multidegrees
 
 EPSILONS = (Fraction(0), Fraction(1), Fraction(-2, 3))
-
-
-def D(a, *idx):
-    return Polynomial.plucker(a, idx)
-
-
-def multidegrees(n, top):
-    """Every multidegree of n entries with 1 <= |m| <= top."""
-    return [m for m in product(range(top + 1), repeat=n)
-            if 1 <= sum(m) <= top]
 
 
 def full_ring_dim(k, n, generators, m):
@@ -124,7 +114,7 @@ class TestRankAgainstGroebner:
                 spec = global_positroid_ideal(J).specialize(eps)
                 leads = [lead.exps
                          for lead in spec.groebner().leading_monomials()]
-                for m in [(0,) * n] + multidegrees(n, 2):
+                for m in multidegrees(n, 2):
                     standard = 0
                     for mono in monomials_of_multidegree(k, n, m):
                         exps = dict(mono.exps)
@@ -239,12 +229,12 @@ def _sweep_dims(epsilons, cold):
     and each component."""
     dims = {}
     for k, n in ((1, 5), (2, 4)):
-        mds = [m for m in product(range(3), repeat=n) if sum(m) <= 2]
+        mds = multidegrees(n, 2)
         for J in enumerate_patterns(k, n):
             specialized = {}
             for eps in epsilons:
                 if cold:
-                    ideals._schubert_vanishing.cache_clear()
+                    ideals.schubert_vanishing_generators.cache_clear()
                 specialized[eps] = global_positroid_ideal(J, eps)
             for m in mds:
                 for eps, ideal in specialized.items():
@@ -275,12 +265,10 @@ class TestSharedMonomials:
         assert monomials_of_multidegree(2, 3, m, ideal.vanishing) == kept
         assert graded_component_dim(ideal, m) == dim
 
-    def test_returned_vanishing_lists_are_fresh(self):
-        J = parse_pattern("12|13|23")
-        generators = global_positroid_ideal(J, 1).generators
-        first = schubert_vanishing_generators(J)
-        kept = list(first)
-        assert kept
-        first.clear()
-        assert schubert_vanishing_generators(J) == kept
-        assert global_positroid_ideal(J, 1).generators == generators
+    def test_vanishing_generators_are_one_shared_tuple(self):
+        # A tuple cannot be changed by a caller, so every call for a
+        # pattern may return the one kept.
+        first = schubert_vanishing_generators(parse_pattern("12|13|23"))
+        assert isinstance(first, tuple) and first
+        assert schubert_vanishing_generators(parse_pattern("12|13|23")) \
+            is first

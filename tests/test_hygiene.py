@@ -1,9 +1,10 @@
 """Every import in the package modules and the tests is used, every private
 module-level function or class of the package is used in its module, every
-public one is named somewhere, every module-level function, class and
-constant is named in a package module or a test, no package module imports
-another's private name, every binding the benchmark tracer wraps exists, and
-every cache of the package is bounded but the (k, n)-keyed ones.
+module-level function, class and constant of the package but the `cmd_*`
+verbs is named in a package module or a test outside its own definition,
+no package module imports another's private name, every binding the
+benchmark tracer wraps exists, and every cache of the package is bounded
+but the (k, n)-keyed ones.
 
 No linter is a dependency of this project, so this walks the syntax tree of
 each module: a name bound by an import must be referenced somewhere else in
@@ -74,25 +75,6 @@ def _names(tree):
             yield node.asname or node.name
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield from node.value.split(".")
-
-
-def test_no_unnamed_public_functions():
-    # An undecorated public module-level function or class that nothing in
-    # the package, the tests or the benchmark names is a dead wrapper.
-    # Decorated ones (CLI commands) are reached through their decorator.
-    named = set()
-    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
-                 *(ROOT / "bench").glob("*.py")]:
-        named.update(_names(ast.parse(path.read_text(), filename=str(path))))
-    unnamed = []
-    for path in sorted((ROOT / "src" / "positroid").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        unnamed.extend(
-            f"{path.name}: {stmt.name}" for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and not stmt.decorator_list and not stmt.name.startswith("_")
-            and stmt.name not in named)
-    assert not unnamed, "public names used nowhere:\n" + "\n".join(unnamed)
 
 
 def test_no_private_names_imported_between_modules():

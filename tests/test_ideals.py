@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import product
 from math import comb
 
 import pytest
@@ -20,22 +19,9 @@ from positroid.ideals import (
     transport,
 )
 from positroid.k1basis import is_admissible
-from positroid.patterns import (JugglingPattern, KSubset, all_subsets,
-                                enumerate_patterns, rotate)
+from positroid.patterns import all_subsets, enumerate_patterns, rotate
 from positroid.poly import EPSILON, Monomial, Polynomial, poly_to_text
-
-
-def D(a, *idx):
-    return Polynomial.plucker(a, idx)
-
-
-def P(k, n, *entries):
-    return JugglingPattern(k, n, tuple(KSubset(n, e) for e in entries))
-
-
-def constant_pattern(k, n):
-    return JugglingPattern(k, n, tuple(KSubset(n, tuple(range(1, k + 1)))
-                                       for _ in range(n)))
+from support import D, P, constant_pattern, multidegrees
 
 
 def random_subspace(rng, k, n):
@@ -80,7 +66,7 @@ class TestClassicalGenerators:
 
 class TestSchubertGenerators:
     def test_constant_pattern_has_none(self):
-        assert schubert_vanishing_generators(constant_pattern(2, 4)) == []
+        assert schubert_vanishing_generators(constant_pattern(2, 4)) == ()
 
     def test_k1_vanishing_variables(self):
         # Shift 0 gives D1_1, D1_2 and D2_1; the shifts 1 and 2 add D0_2,
@@ -191,9 +177,8 @@ class TestTransportedQuadrics:
         for J in enumerate_patterns(2, 4):
             ideal = global_positroid_ideal(J).specialize(1)
             hf = [classical_dim(J, d) for d in range(3)]
-            for m in product(range(3), repeat=4):
-                if sum(m) <= 2 and \
-                        graded_component_dim(ideal, m) != hf[sum(m)]:
+            for m in multidegrees(4, 2):
+                if graded_component_dim(ideal, m) != hf[sum(m)]:
                     wrong.append(f"{J} m={m}")
         assert not wrong, f"{len(wrong)} cases: {wrong[:5]}"
 

@@ -1,12 +1,11 @@
 """Tests for admissible monomials, rewriting, and the basis verifier."""
 
 from fractions import Fraction
-from itertools import product
 from math import comb
 
 import pytest
 
-from positroid import groebner, hilbert
+from positroid import groebner, hilbert, k1basis
 from positroid.groebner import ResourceCapExceeded
 from positroid.ideals import global_positroid_ideal
 from positroid.k1basis import (
@@ -21,22 +20,9 @@ from positroid.k1basis import (
     sample_points,
     verify_basis,
 )
-from positroid.patterns import JugglingPattern, KSubset, enumerate_patterns
+from positroid.patterns import enumerate_patterns
 from positroid.poly import parse_polynomial
-
-
-def P(k, n, *entries):
-    return JugglingPattern(k, n, tuple(KSubset(n, e) for e in entries))
-
-
-def constant(n):
-    return P(1, n, *(((1,),) * n))
-
-
-def multidegrees(n, bound):
-    for m in product(range(bound + 1), repeat=n):
-        if 0 < sum(m) <= bound:
-            yield m
+from support import P, constant_pattern, multidegrees
 
 
 def mono(text):
@@ -52,21 +38,21 @@ class TestK1Monomial:
         assert mon.multidegree(3) == (2, 0, 1)
         assert str(mon) == "D0_1*D0_2*D2_3"
         # Admissible already: the trace holds the one index product.
-        assert rewrite_to_normal_form(mon, constant(3))[1] == [6]
+        assert rewrite_to_normal_form(mon, constant_pattern(1, 3))[1] == [6]
 
 
 class TestAdmissibility:
     def test_constant_pattern_degree_11_monomials(self):
         # For the constant pattern on 3 vertices and m=(1,1,0) exactly six
         # monomials are admissible.
-        mons = enumerate_admissible(constant(3), (1, 1, 0))
+        mons = enumerate_admissible(constant_pattern(1, 3), (1, 1, 0))
         assert sorted(str(m) for m in mons) == [
             "D0_1*D1_1", "D0_1*D1_2", "D0_1*D1_3",
             "D0_2*D1_1", "D0_3*D1_1", "D0_3*D1_2"]
 
     def test_descending_pair_is_inadmissible(self):
         # D0_2*D1_2: i=2 at vertex 0 with s=1 and j=2 > i-s=1.
-        assert not is_admissible(mono("D0_2*D1_2"), constant(3))
+        assert not is_admissible(mono("D0_2*D1_2"), constant_pattern(1, 3))
 
     def test_ones_locus_condition(self):
         J = P(1, 3, (1,), (3,), (2,))  # ones locus {0}
@@ -74,9 +60,17 @@ class TestAdmissibility:
         assert not is_admissible(mono("D0_2"), J)
 
     def test_admissibility_requires_k_1(self):
+        # On every call: the memo of the ones locus keeps no exception.
         J = P(2, 3, (1, 2), (1, 2), (1, 2))
-        with pytest.raises(ValueError, match="k = 1"):
-            is_admissible(mono("D0_1"), J)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="k = 1"):
+                is_admissible(mono("D0_1"), J)
+
+    def test_off_ones_locus_is_one_set_per_pattern(self):
+        # The component memo's key then holds one object per pattern.
+        off = k1basis._off_ones_locus
+        first = off(P(1, 4, (2,), (1,), (1,), (3,)))
+        assert first and off(P(1, 4, (2,), (1,), (1,), (3,))) is first
 
     @pytest.mark.parametrize("cold", [False, True])
     def test_enumeration_is_its_definition(self, cold):
@@ -118,10 +112,10 @@ class TestAdmissibility:
         hilbert.component_monomials.cache_clear()
         monkeypatch.setattr(groebner, "MAX_COMPONENT_MONOMIALS", 5)
         with pytest.raises(ResourceCapExceeded):
-            count_admissible(constant(3), (1, 1, 1))
+            count_admissible(constant_pattern(1, 3), (1, 1, 1))
 
     def test_expected_count_formula(self):
-        J = constant(3)
+        J = constant_pattern(1, 3)
         assert expected_count(J, (1, 1, 0)) == comb(2 + 3 - 1, 2)
 
 
@@ -129,25 +123,28 @@ class TestRewriting:
     def test_known_rewrite_without_wrap(self):
         # D0_3*D1_3 -> D1_1*D1_3? no: (i=3)@0 with (j=3)@1, s=1, j<=n-s=2
         # fails, so the wrap rule fires: new_i = 3+1-3 = 1, e += 1.
-        nf, _ = rewrite_to_normal_form(mono("D0_3*D1_3"), constant(3))
+        nf, _ = rewrite_to_normal_form(mono("D0_3*D1_3"),
+                                       constant_pattern(1, 3))
         assert nf.epsilon_power == 1
         assert str(nf.monomial) == "D0_1*D1_2"
 
     def test_known_rewrite_with_plain_exchange(self):
         # D0_2*D1_2 with s=1: j=2 <= n-s=2, exchange to D0_3*D1_1, e=0.
-        nf, _ = rewrite_to_normal_form(mono("D0_2*D1_2"), constant(3))
+        nf, _ = rewrite_to_normal_form(mono("D0_2*D1_2"),
+                                       constant_pattern(1, 3))
         assert nf.epsilon_power == 0
         assert str(nf.monomial) == "D0_3*D1_1"
 
     def test_measure_strictly_decreases(self):
         for n in (3, 4):
+            J = constant_pattern(1, n)
             for m in multidegrees(n, 3):
                 for mon in hilbert.monomials_of_multidegree(1, n, m):
-                    _, trace = rewrite_to_normal_form(mon, constant(n))
+                    _, trace = rewrite_to_normal_form(mon, J)
                     assert all(a > b for a, b in zip(trace, trace[1:]))
 
     def test_normal_forms_are_admissible_for_constant_pattern(self):
-        J = constant(3)
+        J = constant_pattern(1, 3)
         for m in multidegrees(3, 3):
             for mon in hilbert.monomials_of_multidegree(1, 3, m):
                 nf, _ = rewrite_to_normal_form(mon, J)
@@ -161,7 +158,7 @@ class TestRewriting:
 
     def test_evaluation_identity_on_sampled_points(self):
         # input = eps^e * output pointwise; at eps=1 the powers drop out.
-        J = constant(3)
+        J = constant_pattern(1, 3)
         points = sample_points(J, 4)
         for m in multidegrees(3, 2):
             for mon in hilbert.monomials_of_multidegree(1, 3, m):
@@ -171,7 +168,7 @@ class TestRewriting:
 
     def test_evaluation_identity_at_generic_epsilon(self):
         from positroid.fibers import k1_point
-        J = constant(3)
+        J = constant_pattern(1, 3)
         eps = Fraction(3, 2)
         pt = k1_point(J, {0: Fraction(2), 1: Fraction(3), 2: Fraction(5)},
                       eps)
@@ -189,14 +186,14 @@ class TestSampling:
         assert all(v > 0 for v in lam.values())
 
     def test_samples_are_distinct(self):
-        J = constant(3)
+        J = constant_pattern(1, 3)
         lams = [tuple(sorted(sample_lambda(J, t).items())) for t in range(5)]
         assert len(set(lams)) == 5
 
 
 class TestVerifyBasis:
     def test_constant_pattern_passes(self):
-        passed, case = verify_basis(constant(3), (1, 1, 0),
+        passed, case = verify_basis(constant_pattern(1, 3), (1, 1, 0),
                                     epsilons=(0, 1, 2, -1))
         assert passed
         assert case["count"] == 6
@@ -207,7 +204,7 @@ class TestVerifyBasis:
     def test_generic_points_reach_full_rank(self):
         # Points on a few lines parallel to (1, ..., 1), which a table of
         # consecutive primes gives, span only 28 of these 35 dimensions.
-        passed, case = verify_basis(constant(5), (3, 0, 0, 0, 0),
+        passed, case = verify_basis(constant_pattern(1, 5), (3, 0, 0, 0, 0),
                                     epsilons=(0, 1))
         assert passed
         assert case["evaluation_rank"] == case["count"] == 35

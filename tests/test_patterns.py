@@ -16,10 +16,7 @@ from positroid.patterns import (
     pattern_from_anchor,
     rotate,
 )
-
-
-def P(k, n, *entries):
-    return JugglingPattern(k, n, tuple(KSubset(n, e) for e in entries))
+from support import P
 
 
 class TestKSubset:
@@ -34,12 +31,12 @@ class TestKSubset:
         assert I.shift(0) == I
         assert I.d_shift(0) == 0
 
-    def test_unshift_inverts_shift(self):
+    def test_negative_shift_inverts_shift(self):
         for n in (2, 3, 4, 5):
             for I in all_subsets(2, n) if n > 2 else all_subsets(1, n):
                 for c in range(n):
-                    assert I.shift(c).unshift(c) == I
-                    assert I.unshift(c).shift(c) == I
+                    assert I.shift(c).shift(-c) == I
+                    assert I.shift(-c).shift(c) == I
 
     @given(st.data())
     def test_shift_roundtrip_property(self, data):
@@ -50,7 +47,7 @@ class TestKSubset:
                      min_size=k, max_size=k, unique=True))
         c = data.draw(st.integers(min_value=-3, max_value=10))
         I = KSubset(n, tuple(sorted(elems)))
-        assert I.shift(c).unshift(c) == I
+        assert I.shift(c).shift(-c) == I
 
     def test_d_shift_counts_wrapped_indices(self):
         I = KSubset(4, (1, 2, 4))

@@ -19,15 +19,12 @@ from positroid.poly import (
     polys_to_text,
     sort_sign,
 )
-
-
-def D(a, *idx):
-    return Polynomial.plucker(a, idx)
+from support import D
 
 
 def _random_poly(data, vars_pool):
     terms = data.draw(st.integers(min_value=0, max_value=4))
-    p = Polynomial.zero()
+    p = Polynomial()
     for _ in range(terms):
         coeff = Fraction(data.draw(st.integers(-9, 9)),
                          data.draw(st.integers(1, 9)))
@@ -47,8 +44,8 @@ class TestSignCanonicalization:
         assert sort_sign((2, 1)) == (-1, (1, 2))
         assert sort_sign((3, 1, 2)) == (1, (1, 2, 3))
 
-    def test_repeated_index_is_zero(self):
-        assert Polynomial.plucker(0, (1, 1)).is_zero()
+    def test_repeated_index_gives_zero(self):
+        assert not Polynomial.plucker(0, (1, 1))
 
     def test_transposition_flips_sign(self):
         assert D(0, 2, 1) == -D(0, 1, 2)
@@ -90,9 +87,10 @@ class TestArithmetic:
 
     def test_zero_and_one(self):
         p = D(0, 1, 2) + Polynomial.epsilon()
-        assert p + Polynomial.zero() == p
+        assert p + Polynomial() == p
         assert p * Polynomial.constant(1) == p
-        assert (p * Polynomial.zero()).is_zero()
+        assert not p * Polynomial()
+        assert not p.scale(0)
 
 
 class TestEpsilonAndEvaluation:
@@ -121,10 +119,12 @@ class TestEpsilonAndEvaluation:
         assert coeffs == [Fraction(-1), Fraction(1)]
 
     def test_normal_input_passes_through(self):
-        # A primitive polynomial with a positive lead, and one that keeps
-        # every term, come back as the same object.
+        # A primitive polynomial with a positive lead, the zero one, and
+        # one that keeps every term, come back as the same object.
         p = D(0, 1) * D(1, 2) - D(0, 2) * D(1, 1)
         assert p.primitive() is p
+        zero = Polynomial()
+        assert zero.primitive() is zero
         assert p.without({plucker_var(0, (3,))}) is p
         assert p.without({plucker_var(0, (1,))}) == -(D(0, 2) * D(1, 1))
         assert p.scale(-2).primitive() == p
