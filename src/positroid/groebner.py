@@ -1,11 +1,16 @@
-"""Buchberger's algorithm over exact rationals, normal forms, Krull
-dimension of leading ideals, and the Ideal container.
+"""Buchberger's algorithm over exact rationals, computed fraction-free on
+primitive integer polynomials; normal forms, Krull dimension of leading
+ideals, and the Ideal container.
 
-Buchberger computes on the terms of `poly.Polynomial` directly: a
-polynomial is a {Monomial: Fraction} dict, and the lead of f is
-`min(f, key=grlex_rank)`. The monomial order (`poly.grlex_rank`), the
-primitive normalization of a basis element and the dedup of generators
-belong to `poly`.
+Buchberger computes on the terms of `poly.Polynomial` directly, as a
+{Monomial: int} dict, and the lead of f is `min(f, key=grlex_rank)`. Every
+element of a `GroebnerBasis` is primitive: integer coefficients of content
+1 and a positive leading coefficient. A generator enters as the integer
+numerators of its primitive form (`poly.primitive_terms`). The monomial
+order (`poly.grlex_rank`), the primitive normalization of a generator and
+the dedup of generators belong to `poly`. Fractions appear only at the
+boundary: `normal_form` returns the exact rational normal form and
+`polynomials` the monic basis.
 
 `buchberger` uses the normal selection strategy in degree: the pending
 S-pairs sit in a heap keyed by the degree of their lcm, and a pair of the
@@ -25,10 +30,14 @@ bases computations", ISSAC 1998). The interreduction is one pass from the
 smallest lead up into a new basis: an element whose lead a kept lead
 divides is dropped, and every other is reduced by the ones kept before it.
 
-One elimination step, f -= c x^q g (`_eliminate`), is the step of the
-division `_reduce` and also builds the S-polynomial of g_i and g_j:
-(l / l_i) g_i / c_i, then one step by g_j with c = 1 / c_j, where l is the
-lcm of their leading monomials l_i, l_j and c_i, c_j their coefficients.
+One elimination step, f -= b x^q g with an integer b (`_eliminate`), is
+the step of the division `_reduce` and also builds the S-polynomial of g_i
+and g_j: (c_j / d) (l / l_i) g_i - (c_i / d) (l / l_j) g_j, where l is the
+lcm of their leading monomials l_i, l_j, c_i, c_j their coefficients and
+d = gcd(c_i, c_j). The division is fraction-free: f <- a f - b x^q g, with
+a and b the lead coefficients of g and f divided by their gcd, scales the
+remainder set aside by a too, and so differs from the rational division
+only by a positive factor (as `linalg._reduce` does for rows).
 """
 
 from __future__ import annotations
@@ -37,10 +46,10 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .patterns import all_subsets
-from .poly import (EPSILON, Monomial, Polynomial, Var, dedup, grlex_rank,
-                   primitive_terms)
+from .poly import EPSILON, Monomial, Polynomial, Var, dedup, grlex_rank
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -93,15 +102,26 @@ def _mask(m: Monomial, bits: dict[Var, int]) -> int:
     return out
 
 
-def _eliminate(f: dict, g: dict, q: Monomial, factor) -> None:
-    # f -= factor * q * g, in place, dropping the terms that cancel.
+def _eliminate(f: dict, g: dict, q: Monomial, factor: int) -> None:
+    # f -= factor * q * g, in place, with integer coefficients and factor,
+    # dropping the terms that cancel: the one step of the fraction-free
+    # division and of the S-polynomial.
     for m, c in g.items():
         t = m * q
-        s = f.get(t, Fraction(0)) - factor * c
+        s = f.get(t, 0) - factor * c
         if s:
             f[t] = s
         else:
             f.pop(t, None)
+
+
+def _primitive(f: dict, lead: Monomial) -> dict:
+    # f divided by its content, signed so that the coefficient of `lead`
+    # is positive: the form of every basis element.
+    c = gcd(*f.values())
+    if f[lead] < 0:
+        c = -c
+    return f if c == 1 else {m: v // c for m, v in f.items()}
 
 
 class GroebnerBasis:
@@ -120,7 +140,9 @@ class GroebnerBasis:
 
     @property
     def polynomials(self) -> list[Polynomial]:
-        return [Polynomial(g) for g in self._basis]
+        """The elements made monic, with Fraction coefficients."""
+        return [Polynomial({m: Fraction(c, g[lg]) for m, c in g.items()})
+                for g, lg in zip(self._basis, self._leads)]
 
     def leading_monomials(self) -> list[Monomial]:
         return list(self._leads)
@@ -146,14 +168,22 @@ class GroebnerBasis:
             if not mg & outside and _divides(leads[t], m):
                 yield t
 
-    def _reduce(self, f: dict) -> dict:
-        """The remainder of f under the division algorithm: no term of the
-        result is divisible by a lead. The first element whose lead divides
-        the current leading term is used. Raises ResourceCapExceeded when
+    def _reduce(self, f: dict) -> tuple[dict, int, int]:
+        """The remainder of the integer polynomial f under the division
+        algorithm, fraction-free: no term of the result is divisible by a
+        lead. The first element g whose lead divides the current leading
+        term is used, in the step f <- a f - b x^q g, where a and b are the
+        leading coefficients of g and f divided by their gcd. A step with
+        a != 1 scales the remainder set aside by a too, and then divides f
+        and the remainder by their common content.
+
+        Returns (r, u, v) with u, v > 0: r is u / v times the remainder of
+        the division over the rationals. Raises ResourceCapExceeded when
         the working polynomial exceeds MAX_TERMS terms."""
         basis, leads, divisors = self._basis, self._leads, self._divisors
         f = dict(f)
         remainder: dict = {}
+        u = v = 1
         while f:
             lead = min(f, key=grlex_rank)
             t = next(divisors(lead), None)
@@ -161,16 +191,32 @@ class GroebnerBasis:
                 remainder[lead] = f.pop(lead)
                 continue
             g, lg = basis[t], leads[t]
-            _eliminate(f, g, _quotient(lead, lg), f[lead] / g[lg])
+            d = gcd(f[lead], g[lg])
+            a, b = g[lg] // d, f[lead] // d
+            if a != 1:
+                for h in (f, remainder):
+                    for m in h:
+                        h[m] *= a
+                u *= a
+            _eliminate(f, g, _quotient(lead, lg), b)
             if len(f) > MAX_TERMS:
                 raise ResourceCapExceeded(
                     f"term count {len(f)} exceeds cap {MAX_TERMS}")
-        return remainder
+            if a != 1 and (c := gcd(*f.values(), *remainder.values())) > 1:
+                for h in (f, remainder):
+                    for m in h:
+                        h[m] //= c
+                v *= c
+        return remainder, u, v
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """The normal form of p."""
+        """The normal form of p: p with its denominators cleared, reduced
+        fraction-free and divided by the scale of that reduction."""
         _check_universe(p, self._bits)
-        return Polynomial(self._reduce(p.terms))
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        r, u, v = self._reduce({m: c.numerator * (den // c.denominator)
+                                for m, c in p.terms.items()})
+        return Polynomial({m: Fraction(c * v, u * den) for m, c in r.items()})
 
     def krull_dimension(self) -> int:
         """Dimension of the quotient: maximum number of variables whose
@@ -210,7 +256,9 @@ def buchberger(generators: list[Polynomial],
     gb = GroebnerBasis(variables)
     for p in dedup(generators):
         _check_universe(p, gb._bits)
-        gb._add(p.terms, min(p.terms, key=grlex_rank))
+        # p is primitive, so its coefficients are integers.
+        gb._add({m: c.numerator for m, c in p.terms.items()},
+                min(p.terms, key=grlex_rank))
     basis, leads, masks = gb._basis, gb._leads, gb._masks
 
     # Normal selection: the pending S-pairs (i, j), i > j, sit in a heap
@@ -243,16 +291,18 @@ def buchberger(generators: list[Polynomial],
                and (max(j, t), min(j, t)) not in pairs
                for t in gb._divisors(l)):
             continue
-        # S = (l / l_i) g_i / c_i - (l / l_j) g_j / c_j: the second half is
-        # one elimination step of the division.
+        # S = (c_j / d) (l / l_i) g_i - (c_i / d) (l / l_j) g_j, with
+        # d = gcd(c_i, c_j): the second half is one elimination step of
+        # the division.
         gi, gj = basis[i], basis[j]
-        ci = gi[li]
-        s = {m * qi: c / ci for m, c in gi.items()}
-        _eliminate(s, gj, _quotient(l, lj), 1 / gj[lj])
-        r = gb._reduce(s)
+        ci, cj = gi[li], gj[lj]
+        d = gcd(ci, cj)
+        s = {m * qi: c * (cj // d) for m, c in gi.items()}
+        _eliminate(s, gj, _quotient(l, lj), ci // d)
+        r = gb._reduce(s)[0]
         if r:
             lr = min(r, key=grlex_rank)
-            gb._add(primitive_terms(r, lr), lr)
+            gb._add(_primitive(r, lr), lr)
             push_pairs(len(basis) - 1)
 
     # Interreduce in one pass from the smallest lead up, equal leads in
@@ -264,9 +314,7 @@ def buchberger(generators: list[Polynomial],
                     reverse=True):
         lg = leads[i]
         if next(reduced._divisors(lg), None) is None:
-            r = reduced._reduce(basis[i])
-            c = r[lg]
-            reduced._add({m: v / c for m, v in r.items()}, lg)
+            reduced._add(_primitive(reduced._reduce(basis[i])[0], lg), lg)
     return reduced
 
 

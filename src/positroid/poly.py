@@ -292,26 +292,6 @@ def var_to_text(v: Var) -> str:
     return f"D{a}_" + ".".join(map(str, elems))
 
 
-# ASCII digits only: int() would also read any other Unicode decimal digit.
-_VAR_RE = re.compile(r"(e|D([0-9]+)_([0-9.]+))(?:\^([0-9]+))?")
-
-
-def _parse_factor(tok: str) -> tuple[Var, int]:
-    m = _VAR_RE.fullmatch(tok)
-    if not m:
-        raise ValueError(f"bad variable factor {tok!r}")
-    exp = int(m.group(4)) if m.group(4) else 1
-    if m.group(1) == "e":
-        return EPSILON, exp
-    a = int(m.group(2))
-    idx = m.group(3)
-    if "." in idx:
-        elems = tuple(int(x) for x in idx.split("."))
-    else:
-        elems = tuple(int(ch) for ch in idx)
-    return plucker_var(a, elems), exp
-
-
 def poly_to_text(p: Polynomial) -> str:
     if not p.terms:
         return "0"
@@ -358,28 +338,6 @@ def parse_natural(text: str) -> int:
     return int(text)
 
 
-def parse_polynomial(text: str) -> Polynomial:
-    # normalize "a - b" into explicit signed chunks
-    chunks = re.split(r"\s*([+-])\s*", text.strip())
-    chunks = chunks[1:] if chunks[0] == "" else ["+"] + chunks
-    terms: dict[Monomial, Fraction] = {}
-    for i in range(0, len(chunks), 2):
-        sign = -1 if chunks[i] == "-" else 1
-        body = chunks[i + 1]
-        coeff = Fraction(sign)
-        factors: list[Var] = []
-        for tok in body.split("*"):
-            tok = tok.strip()
-            if tok.startswith(("D", "e")):
-                v, e = _parse_factor(tok)
-                factors += [v] * e
-            else:
-                coeff *= parse_rational(tok)
-        m = Monomial(factors)
-        terms[m] = terms.get(m, Fraction(0)) + coeff
-    return Polynomial(terms)
-
-
 def poly_to_json(p: Polynomial) -> list[dict]:
     out = []
     for m, c in p.sorted_terms():
@@ -388,36 +346,5 @@ def poly_to_json(p: Polynomial) -> list[dict]:
     return out
 
 
-def poly_from_json(data: list[dict]) -> Polynomial:
-    """The polynomial of `poly_to_json`'s form: a list of terms
-    {"coeff": "p/q", "exps": {variable name: int >= 1}}. ValueError on any
-    other shape."""
-    if type(data) is not list:
-        raise ValueError(f"expected a list of terms, got {data!r}")
-    terms: dict[Monomial, Fraction] = {}
-    for term in data:
-        if (type(term) is not dict or set(term) != {"coeff", "exps"}
-                or type(term["coeff"]) is not str
-                or type(term["exps"]) is not dict):
-            raise ValueError(
-                f'expected {{"coeff": "p/q", "exps": {{...}}}}, got {term!r}')
-        factors: list[Var] = []
-        for name, e in term["exps"].items():
-            if type(name) is not str:
-                raise ValueError(f"variable name {name!r} is not a string")
-            if type(e) is not int or e < 1:
-                raise ValueError(f"exponent of {name!r} not >= 1: {e!r}")
-            v, extra = _parse_factor(name)
-            factors += [v] * (e * extra)
-        m = Monomial(factors)
-        terms[m] = terms.get(m, Fraction(0)) + parse_rational(term["coeff"])
-    return Polynomial(terms)
-
-
 def polys_to_text(polys: Iterable[Polynomial]) -> str:
     return "\n".join(poly_to_text(p) for p in polys)
-
-
-def parse_polynomials(text: str) -> list[Polynomial]:
-    return [parse_polynomial(line) for line in text.splitlines()
-            if line.strip()]

@@ -13,8 +13,9 @@ from positroid.fibers import torus_fixed_point
 from positroid.groebner import GroebnerBasis
 from positroid.ideals import global_positroid_ideal
 from positroid.patterns import AnchorSet, enumerate_patterns
-from positroid.poly import Polynomial, parse_polynomials, poly_from_json
+from positroid.poly import Polynomial
 from positroid.reports import VerificationReport
+from support import parse_polynomials, poly_from_json
 
 
 def run(*args):

@@ -1,9 +1,10 @@
 """Tests for Buchberger, normal forms, and Krull dimension."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from positroid import groebner
 from positroid.groebner import (
@@ -217,6 +218,17 @@ def _s_polynomial(f, lf, g, lg):
 ideal_and_vars = st.integers(3, 4).flatmap(
     lambda nv: st.tuples(_small_ideals(nv), st.just(_simple_vars(nv))))
 
+# Generators whose coefficients, the leading one included, are no units
+# (so most reduction steps scale), and a polynomial with rational
+# coefficients to reduce, in three variables.
+_exps = st.tuples(*[st.integers(0, 2)] * 3)
+_non_unit_ideal = st.lists(
+    st.dictionaries(_exps, st.sampled_from([-7, -5, -3, -2, 2, 3, 5, 7]),
+                    min_size=1, max_size=3), min_size=1, max_size=3)
+_rational_poly = st.dictionaries(
+    _exps, st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                     st.integers(1, 9)), min_size=1, max_size=5)
+
 
 class TestDivisionProperties:
     @settings(max_examples=40, deadline=None)
@@ -232,6 +244,25 @@ class TestDivisionProperties:
                 assert not gb.normal_form(s)
         for g in gens:
             assert not gb.normal_form(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_non_unit_ideal, _rational_poly)
+    @example([{(1, 0, 0): 2, (0, 1, 0): -3}, {(0, 2, 0): 3, (1, 0, 1): -5}],
+             {(0, 0, 3): Fraction(1, 2), (1, 1, 0): Fraction(-2, 3)})
+    def test_normal_form_matches_sympy_reduced(self, terms, p):
+        # The normal form modulo a Groebner basis is unique, so it equals
+        # the remainder of sympy's division by its own grlex basis.
+        sympy = pytest.importorskip("sympy")
+        vars_ = _simple_vars(3)
+        gb = buchberger([_to_poly(t, vars_) for t in terms], vars_)
+        xs = sympy.symbols("x1:4")
+        reference = sympy.groebner([_to_expr(t, xs) for t in terms], *xs,
+                                   order="grlex", domain="QQ")
+        _, r = sympy.reduced(_to_expr(p, xs), reference.exprs, *xs,
+                             order="grlex", domain="QQ")
+        expected = {m: Fraction(int(c.p), int(c.q)) for m, c in
+                    sympy.Poly(r, *xs, domain="QQ").terms() if c}
+        assert _as_dict(gb.normal_form(_to_poly(p, vars_)), vars_) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(ideal_and_vars, st.randoms(use_true_random=False))
@@ -273,6 +304,14 @@ def _epsilon_last_order():
                                   (orderings.lex, lambda e: e[-1:]))
 
 
+def _to_expr(terms, xs):
+    """{exponent tuple: coefficient} as a sympy expression in `xs`."""
+    sympy = pytest.importorskip("sympy")
+    return sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.prod(x ** e for x, e in zip(xs, exp))
+               for exp, c in terms.items())
+
+
 def _sympy_grlex_basis(terms, nvars, order="grlex"):
     """sympy's reduced basis, in grlex or the given sympy monomial order,
     of the polynomials given as {exponent tuple: coefficient} over `nvars`
@@ -280,12 +319,40 @@ def _sympy_grlex_basis(terms, nvars, order="grlex"):
     Fraction) terms."""
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols(f"x1:{nvars + 1}")
-    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
-                 * sympy.prod(x ** e for x, e in zip(xs, exp))
-                 for exp, c in t.items()) for t in terms]
-    reference = sympy.groebner(exprs, *xs, order=order, domain="QQ")
+    reference = sympy.groebner([_to_expr(t, xs) for t in terms], *xs,
+                               order=order, domain="QQ")
     return {frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in p.terms())
             for p in reference.polys}
+
+
+# -- the stored form of a basis ---------------------------------------------
+
+def _assert_integer_basis(gb):
+    """Every stored element has int coefficients, content 1 and a positive
+    leading coefficient; `polynomials` is the monic form, in Fractions."""
+    for g, lead in zip(gb._basis, gb._leads):
+        assert all(type(c) is int for c in g.values())
+        assert gcd(*g.values()) == 1 and g[lead] > 0
+    for p, lead in zip(gb.polynomials, gb.leading_monomials()):
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert p.terms[lead] == 1
+
+
+class TestIntegerBasis:
+    def test_non_unit_leads(self):
+        # 2x - 3y and 3y^2 - 5xz: the reduced basis is 2x - 3y and
+        # 2y^2 - 5yz, stored with their non-unit leads.
+        vars_ = _simple_vars(3)
+        x, y, z = (Polynomial.variable(v) for v in vars_)
+        gb = buchberger([x.scale(2) - y.scale(3),
+                         (y * y).scale(3) - (x * z).scale(5)], vars_)
+        _assert_integer_basis(gb)
+        assert [g[lead] for g, lead in zip(gb._basis, gb._leads)] == [2, 2]
+
+    def test_positroid_basis_at_rational_epsilon(self):
+        ideal = global_positroid_ideal(parse_pattern("12|12|12|12"),
+                                       Fraction(-2, 3))
+        _assert_integer_basis(ideal.groebner())
 
 
 # -- bases of specialized global positroid ideals ---------------------------

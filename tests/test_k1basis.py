@@ -21,8 +21,7 @@ from positroid.k1basis import (
     verify_basis,
 )
 from positroid.patterns import enumerate_patterns
-from positroid.poly import parse_polynomial
-from support import P, constant_pattern, multidegrees
+from support import P, constant_pattern, multidegrees, parse_polynomial
 
 
 def mono(text):

@@ -10,16 +10,13 @@ from positroid.poly import (
     EPSILON,
     Monomial,
     Polynomial,
-    parse_polynomial,
-    parse_polynomials,
     plucker_var,
-    poly_from_json,
     poly_to_json,
     poly_to_text,
     polys_to_text,
     sort_sign,
 )
-from support import D
+from support import D, parse_polynomial, parse_polynomials, poly_from_json
 
 
 def _random_poly(data, vars_pool):
