@@ -1,12 +1,15 @@
 """Helpers shared by the tests: Pluecker variables, patterns,
-multidegrees, and the parsers of the plain-text and JSON polynomial
-formats that `positroid.poly` writes. Pytest puts this directory on
+multidegrees, the standard-monomial count of the Groebner oracle, and the
+parsers of the plain-text and JSON polynomial formats that
+`positroid.poly` writes. Pytest puts this directory on
 `sys.path`, so a test module reads them with `from support import ...`."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+from positroid.hilbert import monomials_of_multidegree
 from positroid.patterns import JugglingPattern, KSubset
 from positroid.poly import (EPSILON, Monomial, Polynomial, Var, parse_rational,
                             plucker_var)
@@ -33,6 +36,21 @@ def multidegrees(n, bound):
     so m = 0 comes first."""
     return [m for m in product(range(bound + 1), repeat=n)
             if sum(m) <= bound]
+
+
+def standard_monomial_count(k, n, leads, m):
+    """The number of monomials of multidegree m in the full ring that no
+    monomial of `leads` divides. For the leading monomials of a Groebner
+    basis of a multihomogeneous ideal I, these monomials are a basis of
+    the m-th component of S/I: its dimension without any rank."""
+    fitting = [lead.exps for lead in leads
+               if all(a <= b for a, b in zip(lead.multidegree(n), m))]
+    count = 0
+    for mono in monomials_of_multidegree(k, n, m):
+        have = Counter(mono.factors)
+        count += not any(all(have[v] >= e for v, e in lead)
+                         for lead in fitting)
+    return count
 
 
 # ASCII digits only: int() would also read any other Unicode decimal digit.

@@ -17,7 +17,7 @@ from positroid.ideals import (
 )
 from positroid.patterns import enumerate_patterns, parse_pattern
 from positroid.poly import Polynomial
-from support import D, multidegrees
+from support import D, multidegrees, standard_monomial_count
 
 EPSILONS = (Fraction(0), Fraction(1), Fraction(-2, 3))
 
@@ -49,21 +49,46 @@ def raw_generators(J):
             *schubert_vanishing_generators(J)]
 
 
-def assert_matches_full_ring(J, generators):
+def assert_matches_full_ring(J, generators, ms):
     ideal = Ideal(J.k, J.n, tuple(generators))
     for eps in EPSILONS:
         spec = ideal.specialize(eps)
         raw = [g.substitute_epsilon(eps) for g in generators]
-        for m in multidegrees(J.n, 2):
+        for m in ms:
             assert graded_component_dim(spec, m) == \
                 full_ring_dim(J.k, J.n, raw, m), (str(J), eps, m)
+
+
+def generator_products(ideal, m):
+    """Every (g, mu) of the m-th component: each generator g of a group
+    with multidegree d <= m and each monomial mu of multidegree m - d
+    outside the vanishing set."""
+    return [(g, mu) for d, gens in ideal.by_multidegree
+            if all(mb >= db for mb, db in zip(m, d))
+            for g in gens
+            for mu in monomials_of_multidegree(
+                ideal.k, ideal.n, tuple(mb - db for mb, db in zip(m, d)),
+                ideal.vanishing)]
+
+
+@pytest.fixture
+def rank_rows(monkeypatch):
+    """The rows of every `linalg.rank` call, in call order."""
+    rank, seen = linalg.rank, []
+
+    def spy(rows):
+        seen.append(list(rows))
+        return rank(rows)
+    monkeypatch.setattr(linalg, "rank", spy)
+    return seen
 
 
 class TestQuotientByVanishingVariables:
     @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
     def test_global_ideals_match_full_ring(self, k, n):
         for J in enumerate_patterns(k, n):
-            assert_matches_full_ring(J, global_positroid_ideal(J).generators)
+            assert_matches_full_ring(J, global_positroid_ideal(J).generators,
+                                     multidegrees(n, 2))
 
     @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4)])
     def test_terms_in_vanishing_variables_are_dropped(self, k, n):
@@ -76,7 +101,7 @@ class TestQuotientByVanishingVariables:
                     for v in g.variables()}
             carried += any(v in zero for g in gens
                            if len(g.terms) > 1 for v in g.variables())
-            assert_matches_full_ring(J, gens)
+            assert_matches_full_ring(J, gens, multidegrees(n, 2))
         assert carried
 
     def test_only_single_variable_generators_vanish(self):
@@ -104,25 +129,65 @@ class TestQuotientByVanishingVariables:
 
 
 class TestRankAgainstGroebner:
+    # The ideals are multihomogeneous, so the monomials of multidegree m
+    # that no leading monomial of a Groebner basis divides are a basis of
+    # the m-th component: the Groebner oracle against the rank one.
+
     @pytest.mark.parametrize("k,n", [(1, 4), (2, 4)])
     def test_dims_count_standard_monomials(self, k, n):
-        # The ideals are multihomogeneous, so the monomials of multidegree m
-        # that no leading monomial of a Groebner basis divides are a basis
-        # of the m-th component: the Groebner oracle against the rank one.
         for J in enumerate_patterns(k, n):
             for eps in (0, 1):
                 spec = global_positroid_ideal(J).specialize(eps)
-                leads = [lead.exps
-                         for lead in spec.groebner().leading_monomials()]
+                leads = spec.groebner().leading_monomials()
                 for m in multidegrees(n, 2):
-                    standard = 0
-                    for mono in monomials_of_multidegree(k, n, m):
-                        exps = dict(mono.exps)
-                        standard += not any(
-                            all(e <= exps.get(v, 0) for v, e in lead)
-                            for lead in leads)
-                    assert graded_component_dim(spec, m) == standard, \
+                    assert graded_component_dim(spec, m) == \
+                        standard_monomial_count(k, n, leads, m), \
                         (str(J), eps, m)
+
+    @pytest.mark.parametrize("patterns", [
+        [str(J) for J in enumerate_patterns(1, 3)],
+        [str(J) for J in enumerate_patterns(1, 4)],
+        ["12|12|12|12", "12|13|12|13", "13|24|13|12"],
+    ], ids=["1-3", "1-4", "2-4"])
+    def test_dims_count_standard_monomials_to_degree_4(self, patterns):
+        # Up to |m| = 4, where the rank skips the rows whose cofactor an
+        # earlier lead divides and the oracle skips none.
+        for J in map(parse_pattern, patterns):
+            for eps in (0, 1):
+                spec = global_positroid_ideal(J, eps)
+                leads = spec.groebner().leading_monomials()
+                for m in multidegrees(J.n, 4):
+                    assert graded_component_dim(spec, m) == \
+                        standard_monomial_count(J.k, J.n, leads, m), \
+                        (str(J), eps, m)
+
+
+class TestKoszulFilter:
+    """Components where `graded_component_dim` skips the rows whose
+    cofactor the lead of an earlier generator divides, against the dense
+    full-ring rank, which skips none. A copy that also skips mu * g when
+    g's own lead divides mu gives 18 for `1,1,1` at m = (0, 2, 2), not 15."""
+
+    @pytest.mark.parametrize("patterns,ms", [
+        ([str(J) for J in enumerate_patterns(1, 3)],
+         [m for m in multidegrees(3, 6) if sum(m) >= 4]),
+        (["12|12|12"], [(3, 3, 2)]),
+        (["1,1,1,1", "1,2,1,2", "1,3,2,1"],
+         [m for m in multidegrees(4, 4) if sum(m) == 4]),
+        (["12|13|12|13", "13|24|13|12"],
+         [(2, 1, 1, 0), (2, 2, 0, 0), (0, 1, 0, 3)]),
+    ], ids=["1-3", "12|12|12", "1-4", "2-4"])
+    def test_matches_full_ring(self, patterns, ms, rank_rows):
+        products = 0
+        for J in map(parse_pattern, patterns):
+            assert_matches_full_ring(J, global_positroid_ideal(J).generators,
+                                     ms)
+            products += sum(
+                len(generator_products(global_positroid_ideal(J, eps), m))
+                for eps in EPSILONS for m in ms)
+        # Each component took two ranks, the quotient's and the oracle's:
+        # the quotient's left rows out.
+        assert sum(map(len, rank_rows[::2])) < products
 
 
 class TestNormalForm:
@@ -185,29 +250,34 @@ class TestExcludedVariables:
 
 class TestSparseRows:
     @pytest.mark.parametrize("eps", (0, 1))
-    def test_rows_are_sparse_generator_products(self, eps, monkeypatch):
+    def test_rows_are_sparse_generator_products(self, eps, rank_rows):
         # Each row is a generator g times a cofactor: a mapping with one
         # nonzero entry per term of g, never a dense list over the basis.
+        # The products whose cofactor an earlier lead divides are left
+        # out, so there are fewer rows than products here.
         ideal = global_positroid_ideal(parse_pattern("1,1,2")).specialize(eps)
         m = (2, 2, 1)
-        rank, seen = linalg.rank, []
-
-        def spy(rows):
-            seen.extend(rows)
-            return rank(rows)
-        monkeypatch.setattr(linalg, "rank", spy)
         graded_component_dim(ideal, m)
-        terms = [len(g.terms) for d, gens in ideal.by_multidegree
-                 if all(mb >= db for mb, db in zip(m, d))
-                 for g in gens
-                 for _ in monomials_of_multidegree(
-                     ideal.k, ideal.n, tuple(mb - db for mb, db in zip(m, d)),
-                     ideal.vanishing)]
-        assert seen and len(seen) == len(terms)
-        for row, count in zip(seen, terms):
+        [seen] = rank_rows
+        column = hilbert.component_monomials(ideal.k, ideal.n, m,
+                                             ideal.vanishing)
+        products = [{column[t]: c
+                     for t, c in (g * Polynomial({mu: 1})).terms.items()}
+                    for g, mu in generator_products(ideal, m)]
+        assert seen and len(seen) < len(products)
+        for row in seen:
             assert isinstance(row, Mapping)
             assert all(row.values())
-            assert len(row) <= count
+            assert row in products
+
+    @pytest.mark.parametrize("eps,count", [(0, 737), (2, 801)])
+    def test_rows_left_out_of_a_deep_component(self, eps, count, rank_rows):
+        # 12|12|12 at m = (3, 3, 2) has 1,728 generator products, of which
+        # only 555 are independent.
+        ideal = global_positroid_ideal(parse_pattern("12|12|12"), eps)
+        assert graded_component_dim(ideal, (3, 3, 2)) == 45
+        assert len(generator_products(ideal, (3, 3, 2))) == 1728
+        assert [len(rows) for rows in rank_rows] == [count]
 
     @pytest.mark.parametrize("pattern,m,dim", [
         ("1,1,2", (3, 3, 2), 9),
