@@ -27,13 +27,23 @@ smaller degree, so a group whose cofactor degree is below the lowest
 generator degree skips nothing and computes no lead: for the quadric
 ideals of the package that is every component of total degree at most 3.
 
+A monomial of S' is written as its key, the tuple of its factors'
+positions among the variables of S', which are ordered by color and then
+subset lex as in `poly`: `surviving_variables(k, n, Z)` maps each to its
+position, for the last 8 vanishing sets. A key is sorted, and the key of
+a product is `tuple(sorted(a + b))` of the keys a and b of its factors,
+so a row entry is a dict lookup on small ints, with no `Monomial` built.
+grlex leads are still taken on `Monomial`, with `poly.grlex_rank`, and
+converted to keys once per call.
+
 A sweep asks for the same component of one pattern at several values of
 eps, and its basis and cofactor monomials depend only on (k, n, m) and the
 vanishing set, which is the same at every eps. `component_monomials` is
-the one memo of a component, a {monomial: column} map keyed by (k, n, m,
+the one memo of a component, a {key: column} map keyed by (k, n, m,
 vanishing) and bounded to the last 8 keys: one m and the cofactor
 multidegrees of its generator groups. `k1basis` reads the same entries,
-as for k = 1 the vanishing set is the set of variables off the ones locus.
+as for k = 1 the vanishing set is the set of variables off the ones locus,
+and decodes them through `surviving_variables`.
 """
 
 from __future__ import annotations
@@ -42,21 +52,35 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from operator import le, sub
-from typing import Container
+from typing import AbstractSet
 
 from . import groebner, linalg
-from .poly import MONOMIAL_ONE, Monomial, Var, grlex_rank
+from .poly import Monomial, Var, grlex_rank
+
+Key = tuple[int, ...]
 
 
-def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
-                             excluded: Container[Var] = frozenset()
-                             ) -> list[Monomial]:
-    """All monomials in the colored Pluecker variables outside `excluded`
-    with exactly m_b factors of color b, in lexicographic order of their
-    per-color k-subset lists.
+# The variables of the last 8 vanishing sets: a sweep builds every
+# component of a pattern, at every eps, against one set.
+@lru_cache(maxsize=8)
+def surviving_variables(k: int, n: int,
+                        excluded: frozenset[Var]) -> dict[Var, int]:
+    """The colored Pluecker variables outside `excluded`, by color and
+    then subset lex, each mapped to its position in that order: position p
+    of a key is the p-th of them. Shared, so read-only."""
+    kept = [v for b in range(n) for I in combinations(range(1, n + 1), k)
+            if (v := ("D", b, I)) not in excluded]
+    return {v: p for p, v in enumerate(kept)}
+
+
+def _keys(k: int, n: int, m: tuple[int, ...],
+          excluded: frozenset[Var]) -> list[Key]:
+    """The keys of the monomials outside `excluded` with exactly m_b
+    factors of color b, in lexicographic order of their per-color key
+    parts, which is that of their per-color k-subset lists.
 
     The full-ring count, prod_b C(N + m_b - 1, m_b) with N = C(n, k), is
-    checked against MAX_COMPONENT_MONOMIALS before any monomial is built,
+    checked against MAX_COMPONENT_MONOMIALS before any key is built,
     whatever `excluded` leaves out."""
     if len(m) != n:
         raise ValueError(f"multidegree length {len(m)} != n={n}")
@@ -64,47 +88,62 @@ def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
     if prod(comb(N + mb - 1, mb) for mb in m) > cap:
         raise groebner.ResourceCapExceeded(
             f"multidegree {m} has more than {cap} monomials")
-    subsets = list(combinations(range(1, n + 1), k))
-    per_color = [list(combinations_with_replacement(
-                     [("D", b, I) for I in subsets
-                      if ("D", b, I) not in excluded], mb))
-                 for b, mb in enumerate(m)]
-    return [Monomial(sum(pick, ())) for pick in product(*per_color)]
+    positions: list[list[int]] = [[] for _ in m]
+    for (_, b, _), p in surviving_variables(k, n, excluded).items():
+        positions[b].append(p)
+    return [sum(pick, ()) for pick in product(
+        *map(combinations_with_replacement, positions, m))]
+
+
+def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
+                             excluded: AbstractSet[Var] = frozenset()
+                             ) -> list[Monomial]:
+    """All monomials in the colored Pluecker variables outside `excluded`
+    with exactly m_b factors of color b, in lexicographic order of their
+    per-color k-subset lists: the keys of the component, decoded. The
+    limit is checked as for `component_monomials`, before any key is
+    built."""
+    excluded = frozenset(excluded)
+    keys = _keys(k, n, m, excluded)
+    variables = list(surviving_variables(k, n, excluded))
+    return [Monomial(map(variables.__getitem__, key)) for key in keys]
 
 
 @lru_cache(maxsize=8)
 def component_monomials(k: int, n: int, m: tuple[int, ...],
-                        excluded: frozenset[Var]) -> dict[Monomial, int]:
-    """`monomials_of_multidegree(k, n, m, excluded)`, each monomial mapped
-    to its column in that order; shared, so read-only."""
-    return {mono: i for i, mono in
-            enumerate(monomials_of_multidegree(k, n, m, excluded))}
+                        excluded: frozenset[Var]) -> dict[Key, int]:
+    """The monomials of `monomials_of_multidegree(k, n, m, excluded)`,
+    each as its key in `surviving_variables(k, n, excluded)`, mapped to
+    its column in that order; shared, so read-only."""
+    return {key: i for i, key in enumerate(_keys(k, n, m, excluded))}
 
 
 def _first_divisors(ideal: groebner.Ideal, diff: tuple[int, ...],
-                    last: tuple, leads: dict) -> dict[Monomial, int]:
-    """The cofactors of multidegree `diff` that the lead of a generator of
-    `ideal.by_multidegree` up to the group `last` divides, each mapped to
-    the first such generator: -1 for one of an earlier group, its index in
-    `last` for one of `last`.
+                    last: tuple, leads: dict,
+                    position: dict[Var, int]) -> dict[Key, int]:
+    """The keys of the cofactors of multidegree `diff` that the lead of a
+    generator of `ideal.by_multidegree` up to the group `last` divides,
+    each mapped to the first such generator: -1 for one of an earlier
+    group, its index in `last` for one of `last`.
 
     Only a group with multidegree d <= diff has such leads; they are
-    computed once per `graded_component_dim` call, into `leads` under the
-    group's index, and divide exactly the products lead * nu with nu of
-    multidegree diff - d. When that is zero, the lead itself is the only
-    one."""
+    computed once per `graded_component_dim` call, as keys by `position`,
+    into `leads` under the group's index, and divide exactly the products
+    lead * nu with nu of multidegree diff - d. When that is zero, the lead
+    itself is the only one."""
     first = {}
     for j, (d, gens) in enumerate(ideal.by_multidegree):
         if all(map(le, d, diff)):
             if j not in leads:
-                leads[j] = [min(g.terms, key=grlex_rank) for g in gens]
-            q = tuple(map(sub, diff, d))
-            multiples = (monomials_of_multidegree(ideal.k, ideal.n, q,
-                                                  ideal.vanishing)
-                         if any(q) else [MONOMIAL_ONE])
+                leads[j] = [tuple(map(position.__getitem__,
+                                      min(g.terms, key=grlex_rank).factors))
+                            for g in gens]
+            multiples = _keys(ideal.k, ideal.n, tuple(map(sub, diff, d)),
+                              ideal.vanishing)
             for t, lead in enumerate(leads[j]):
                 for nu in multiples:
-                    first.setdefault(lead * nu, t if gens is last else -1)
+                    first.setdefault(tuple(sorted(lead + nu)),
+                                     t if gens is last else -1)
         if gens is last:
             return first
 
@@ -117,18 +156,21 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     `ideal.vanishing` minus the exact rank of the span of the products
     mu * g of each generator g of `ideal.by_multidegree` by the monomials
     mu of S' of the complementary multidegree. Each product is one sparse
-    row {column: coefficient}, with one entry per term of g. The product
-    mu * g_i is left out when the lead of an earlier generator g_j, in the
-    order of the groups and within a group, divides mu
-    (`_first_divisors`): the module docstring shows that it adds nothing
-    to the span. A group whose cofactor degree is below the lowest
-    generator degree has no such mu and computes no lead.
+    row {column: coefficient}, with one entry per term of g, at the column
+    of the key of that term times mu. Every generator of an `Ideal` is
+    primitive, so each coefficient has denominator 1, and the row holds
+    its numerator, an int. The product mu * g_i is left out when the lead
+    of an earlier generator g_j, in the order of the groups and within a
+    group, divides mu (`_first_divisors`): the module docstring shows
+    that it adds nothing to the span. A group whose cofactor degree is
+    below the lowest generator degree has no such mu and computes no lead.
     """
     if ideal.has_epsilon:
         raise ValueError("specialize epsilon before computing graded "
                          "component dimensions")
     k, n, zero = ideal.k, ideal.n, ideal.vanishing
     column = component_monomials(k, n, tuple(m), zero)
+    position = surviving_variables(k, n, zero)
     groups = ideal.by_multidegree
     rows, leads, low = [], {}, None
     for d, gens in groups:
@@ -141,8 +183,10 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
             if low is None:
                 low = min(sum(dj) for dj, _ in groups)
             if sum(diff) >= low:
-                first = _first_divisors(ideal, diff, gens, leads)
-        rows += ({column[mono * mu]: c for mono, c in g.terms.items()}
-                 for t, g in enumerate(gens) for mu in cofactors
-                 if first.get(mu, t) >= t)
+                first = _first_divisors(ideal, diff, gens, leads, position)
+        for t, g in enumerate(gens):
+            terms = [(tuple(map(position.__getitem__, mono.factors)),
+                      c.numerator) for mono, c in g.terms.items()]
+            rows += ({column[tuple(sorted(a + mu))]: c for a, c in terms}
+                     for mu in cofactors if first.get(mu, t) >= t)
     return len(column) - linalg.rank(rows)

@@ -8,10 +8,12 @@ A k = 1 monomial is a `poly.Monomial` in the variables ("D", b, (i,)).
 A variable sorts by color b, then index i, so the factors of color b read
 off `Monomial.factors` as a sorted index list. The admissible monomials of
 a multidegree are the keys of `hilbert.component_monomials` outside the
-ones-locus variables, the pattern ideal's vanishing set, filtered by the
-descent test; the enumeration meets `MAX_COMPONENT_MONOMIALS` before any
-monomial is built. The set of variables off the ones locus is kept for
-the last 8 patterns, like the other per-pattern memos."""
+ones-locus variables, the pattern ideal's vanishing set, decoded through
+`hilbert.surviving_variables` and filtered by the descent test; the
+enumeration meets `MAX_COMPONENT_MONOMIALS` before any key is built, and
+only `enumerate_admissible` builds a `Monomial`, for each admissible key.
+The set of variables off the ones locus is kept for the last 8 patterns,
+like the other per-pattern memos."""
 
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
+from typing import Iterable
 
 from . import hilbert, ideals, linalg
 from .fibers import FiberPoint, k1_point
@@ -51,10 +54,11 @@ def _off_ones_locus(J: JugglingPattern) -> frozenset[Var]:
                      for i in range(1, n + 1) if (b + i - 1) % n not in L)
 
 
-def _index_lists(mon: Monomial, n: int) -> list[list[int]]:
-    """The sorted index list of each color's factors."""
+def _index_lists(factors: Iterable[Var], n: int) -> list[list[int]]:
+    """The sorted index list of each color's factors, from the sorted
+    variables `factors` of a monomial."""
     idx: list[list[int]] = [[] for _ in range(n)]
-    for _, b, (i,) in mon.factors:
+    for _, b, (i,) in factors:
         idx[b].append(i)
     return idx
 
@@ -79,7 +83,7 @@ def is_admissible(mon: Monomial, J: JugglingPattern) -> bool:
     """Both admissibility conditions: every factor's diagonal lands in the
     ones locus, and no descending pair across a shift s."""
     return (_off_ones_locus(J).isdisjoint(mon.factors)
-            and _find_violation(_index_lists(mon, J.n)) is None)
+            and _find_violation(_index_lists(mon.factors, J.n)) is None)
 
 
 def rewrite_to_normal_form(mon: Monomial, J: JugglingPattern):
@@ -89,7 +93,7 @@ def rewrite_to_normal_form(mon: Monomial, J: JugglingPattern):
     decreases. A normal form violating the ones-locus condition of J
     raises ZeroInQuotient."""
     n = J.n
-    idx = _index_lists(mon, n)
+    idx = _index_lists(mon.factors, n)
     e = 0
     trace = [prod(map(prod, idx))]
     while (hit := _find_violation(idx)) is not None:
@@ -113,16 +117,27 @@ def rewrite_to_normal_form(mon: Monomial, J: JugglingPattern):
     return NormalForm(e, nf), trace
 
 
+def _admissible(J: JugglingPattern, m: tuple[int, ...]
+                ) -> tuple[list[hilbert.Key], list[Var]]:
+    """The J-admissible monomials of multidegree m, lexicographically, as
+    (keys, variables): the keys of the component outside the ones locus
+    whose factors, decoded through `variables`, pass the descent test."""
+    off = _off_ones_locus(J)
+    keys = hilbert.component_monomials(1, J.n, tuple(m), off)
+    variables = list(hilbert.surviving_variables(1, J.n, off))
+    return [key for key in keys if _find_violation(_index_lists(
+        map(variables.__getitem__, key), J.n)) is None], variables
+
+
 def enumerate_admissible(J: JugglingPattern,
                          m: tuple[int, ...]) -> list[Monomial]:
     """All J-admissible monomials of multidegree m, lexicographically."""
-    return [mon for mon in hilbert.component_monomials(
-                1, J.n, tuple(m), _off_ones_locus(J))
-            if _find_violation(_index_lists(mon, J.n)) is None]
+    keys, variables = _admissible(J, m)
+    return [Monomial(map(variables.__getitem__, key)) for key in keys]
 
 
 def count_admissible(J: JugglingPattern, m: tuple[int, ...]) -> int:
-    return len(enumerate_admissible(J, m))
+    return len(_admissible(J, m)[0])
 
 
 def expected_count(J: JugglingPattern, m: tuple[int, ...]) -> int:

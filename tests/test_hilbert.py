@@ -4,11 +4,13 @@ against the full-ring computation."""
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 import pytest
 
 from positroid import hilbert, ideals, linalg
-from positroid.groebner import Ideal, ResourceCapExceeded
+from positroid.groebner import Ideal, ResourceCapExceeded, plucker_universe
 from positroid.hilbert import graded_component_dim, monomials_of_multidegree
 from positroid.ideals import (
     global_positroid_ideal,
@@ -16,7 +18,7 @@ from positroid.ideals import (
     schubert_vanishing_generators,
 )
 from positroid.patterns import enumerate_patterns, parse_pattern
-from positroid.poly import Polynomial
+from positroid.poly import Monomial, Polynomial
 from support import D, multidegrees, standard_monomial_count
 
 EPSILONS = (Fraction(0), Fraction(1), Fraction(-2, 3))
@@ -162,6 +164,33 @@ class TestRankAgainstGroebner:
                         (str(J), eps, m)
 
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dims_count_sympy_standard_monomials(self, k):
+        # sympy's Groebner basis in grlex, with the variables in the order
+        # of `plucker_universe`, as the oracle: every (k,3) pattern at
+        # |m| <= 3.
+        sympy = pytest.importorskip("sympy")
+        universe = plucker_universe(k, 3)
+        x = dict(zip(universe, sympy.symbols(f"x0:{len(universe)}")))
+        for J in enumerate_patterns(k, 3):
+            for eps in (0, 1):
+                ideal = global_positroid_ideal(J, eps)
+                basis = sympy.groebner(
+                    [sum(sympy.Rational(c.numerator, c.denominator)
+                         * prod(map(x.get, mono.factors))
+                         for mono, c in g.terms.items())
+                     for g in ideal.generators],
+                    *x.values(), order="grlex")
+                leads = [Monomial(v for v, e in zip(
+                             universe, p.monoms(order="grlex")[0])
+                                  for _ in range(e))
+                         for p in basis.polys]
+                for m in multidegrees(3, 3):
+                    assert graded_component_dim(ideal, m) == \
+                        standard_monomial_count(k, 3, leads, m), \
+                        (str(J), eps, m)
+
+
 class TestKoszulFilter:
     """Components where `graded_component_dim` skips the rows whose
     cofactor the lead of an earlier generator divides, against the dense
@@ -254,21 +283,35 @@ class TestSparseRows:
         # Each row is a generator g times a cofactor: a mapping with one
         # nonzero entry per term of g, never a dense list over the basis.
         # The products whose cofactor an earlier lead divides are left
-        # out, so there are fewer rows than products here.
+        # out, so there are fewer rows than products here. A column is
+        # found through the position map: the key of a product term lists
+        # the positions of its factors among the surviving variables.
         ideal = global_positroid_ideal(parse_pattern("1,1,2")).specialize(eps)
         m = (2, 2, 1)
         graded_component_dim(ideal, m)
         [seen] = rank_rows
         column = hilbert.component_monomials(ideal.k, ideal.n, m,
                                              ideal.vanishing)
-        products = [{column[t]: c
+        position = hilbert.surviving_variables(ideal.k, ideal.n,
+                                               ideal.vanishing)
+        products = [{column[tuple(position[v] for v in t.factors)]: c
                      for t, c in (g * Polynomial({mu: 1})).terms.items()}
                     for g, mu in generator_products(ideal, m)]
         assert seen and len(seen) < len(products)
         for row in seen:
             assert isinstance(row, Mapping)
-            assert all(row.values())
+            assert all(type(c) is int and c for c in row.values())
             assert row in products
+
+    @pytest.mark.parametrize("k,n", [(1, 5), (2, 4)])
+    def test_generators_have_integer_coefficients(self, k, n):
+        # Every generator of an Ideal is primitive, so a row may carry the
+        # numerator of each coefficient alone.
+        for J in enumerate_patterns(k, n):
+            for eps in EPSILONS:
+                for g in global_positroid_ideal(J, eps).generators:
+                    assert all(c.denominator == 1
+                               for c in g.terms.values()), (str(J), eps)
 
     @pytest.mark.parametrize("eps,count", [(0, 737), (2, 801)])
     def test_rows_left_out_of_a_deep_component(self, eps, count, rank_rows):
@@ -290,6 +333,103 @@ class TestSparseRows:
         ideal = global_positroid_ideal(parse_pattern(pattern))
         for eps in (0, 2):
             assert graded_component_dim(ideal.specialize(eps), m) == dim
+
+
+class TestInputRefusals:
+    """Refused inputs: neither builds any key of a component."""
+
+    @pytest.fixture
+    def refuse_to_build(self, monkeypatch):
+        hilbert.component_monomials.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("enumerated a component of refused input")
+        monkeypatch.setattr(hilbert, "combinations_with_replacement", refuse)
+
+    def test_ideal_with_epsilon(self, refuse_to_build):
+        ideal = global_positroid_ideal(parse_pattern("1,1,2"))
+        with pytest.raises(ValueError, match="specialize epsilon"):
+            graded_component_dim(ideal, (1, 1, 0))
+
+    @pytest.mark.parametrize("m", [(), (1, 1), (1, 1, 0, 0)])
+    def test_multidegree_of_another_length(self, m, refuse_to_build):
+        ideal = global_positroid_ideal(parse_pattern("1,1,2"), 1)
+        with pytest.raises(ValueError, match="multidegree length"):
+            graded_component_dim(ideal, m)
+
+
+def listed_monomials(k, n, m, excluded):
+    """The monomials outside `excluded` with m_b factors of color b, built
+    from the variable lists of each color, in lexicographic order of their
+    per-color k-subset lists: the order of the columns."""
+    per_color = [list(combinations_with_replacement(
+                     [v for I in combinations(range(1, n + 1), k)
+                      if (v := ("D", b, I)) not in excluded], mb))
+                 for b, mb in enumerate(m)]
+    return [Monomial(sum(pick, ())) for pick in product(*per_color)]
+
+
+class TestPositionKeys:
+    """A monomial of a component is keyed by the positions of its factors
+    among the surviving variables."""
+
+    # (pattern, eps, m, colors whose variables all vanish besides those of
+    # the ideal): one vanishing set per pattern, 2e_0 in 12|12|12|12 the
+    # multidegree of the color-0 Pluecker relations.
+    CASES = [("1,1,2", 0, (2, 2, 1), ()),
+             ("12|12|12", 1, (2, 1, 1), ()),
+             ("12|12|12|12", 0, (2, 1, 1, 0), ()),
+             ("12|13|23", 1, (1, 2, 1), ()),
+             ("12|12|12|12", 0, (2, 0, 1, 1), (1,)),
+             ("13|24|13|12", 1, (0, 1, 2, 1), (0,))]
+
+    @staticmethod
+    def excluded(ideal, colors):
+        return ideal.vanishing | {v for v in hilbert.surviving_variables(
+            ideal.k, ideal.n, ideal.vanishing) if v[1] in colors}
+
+    @pytest.mark.parametrize("pattern,eps,m,colors", CASES)
+    def test_keys_decode_to_the_monomials_in_column_order(
+            self, pattern, eps, m, colors):
+        ideal = global_positroid_ideal(parse_pattern(pattern), eps)
+        zero = self.excluded(ideal, colors)
+        variables = list(hilbert.surviving_variables(ideal.k, ideal.n, zero))
+        assert not any(v[1] in colors for v in variables)
+        for q in multidegrees(ideal.n, sum(m)):
+            column = hilbert.component_monomials(ideal.k, ideal.n, q, zero)
+            keys = sorted(column, key=column.get)
+            assert [column[key] for key in keys] == list(range(len(keys)))
+            assert all(list(key) == sorted(key) for key in keys)
+            decoded = [Monomial(variables[p] for p in key) for key in keys]
+            assert decoded == monomials_of_multidegree(
+                ideal.k, ideal.n, q, zero) == \
+                listed_monomials(ideal.k, ideal.n, q, zero), q
+            if any(q[b] for b in colors):
+                assert keys == []
+
+    @pytest.mark.parametrize("pattern,eps,m,colors", CASES[:3])
+    def test_sorted_concatenation_is_the_product_key(
+            self, pattern, eps, m, colors):
+        # For every generator term t and cofactor mu of the component,
+        # tuple(sorted(t + mu)) is the key of the product monomial; in a
+        # same-color group the concatenation is not sorted by itself.
+        ideal = global_positroid_ideal(parse_pattern(pattern), eps)
+        position = hilbert.surviving_variables(ideal.k, ideal.n,
+                                               ideal.vanishing)
+        column = hilbert.component_monomials(ideal.k, ideal.n, m,
+                                             ideal.vanishing)
+        unsorted = 0
+        for g, mu in generator_products(ideal, m):
+            b = tuple(position[v] for v in mu.factors)
+            for t in g.terms:
+                a = tuple(position[v] for v in t.factors)
+                assert tuple(sorted(a + b)) == \
+                    tuple(position[v] for v in (t * mu).factors)
+                assert tuple(sorted(a + b)) in column
+                unsorted += list(a + b) != sorted(a + b)
+        assert unsorted
+        if pattern == "12|12|12|12":
+            assert (2, 0, 0, 0) in dict(ideal.by_multidegree)
 
 
 def _sweep_dims(epsilons, cold):
