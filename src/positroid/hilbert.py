@@ -100,9 +100,8 @@ def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
                              ) -> list[Monomial]:
     """All monomials in the colored Pluecker variables outside `excluded`
     with exactly m_b factors of color b, in lexicographic order of their
-    per-color k-subset lists: the keys of the component, decoded. The
-    limit is checked as for `component_monomials`, before any key is
-    built."""
+    per-color k-subset lists: the keys of `_keys`, decoded, so the
+    limit is checked before any key is built."""
     excluded = frozenset(excluded)
     keys = _keys(k, n, m, excluded)
     variables = list(surviving_variables(k, n, excluded))

@@ -373,9 +373,10 @@ class TestPositionKeys:
     """A monomial of a component is keyed by the positions of its factors
     among the surviving variables."""
 
-    # (pattern, eps, m, colors whose variables all vanish besides those of
-    # the ideal): one vanishing set per pattern, 2e_0 in 12|12|12|12 the
-    # multidegree of the color-0 Pluecker relations.
+    # (pattern, eps, m, colors): the components of the pattern's ideal up
+    # to degree |m|, with every variable of `colors` excluded as well. In
+    # 12|12|12|12 the color-0 Pluecker relations form a group of
+    # multidegree 2e_0.
     CASES = [("1,1,2", 0, (2, 2, 1), ()),
              ("12|12|12", 1, (2, 1, 1), ()),
              ("12|12|12|12", 0, (2, 1, 1, 0), ()),
