@@ -29,10 +29,12 @@ ideals of the package that is every component of total degree at most 3.
 
 A monomial of S' is written as its key, the tuple of its factors'
 positions among the variables of S', which are ordered by color and then
-subset lex as in `poly`: `surviving_variables(k, n, Z)` maps each to its
-position, for the last 8 vanishing sets. A key is sorted, and the key of
-a product is `tuple(sorted(a + b))` of the keys a and b of its factors,
-so a row entry is a dict lookup on small ints, with no `Monomial` built.
+subset lex as in `poly`: `surviving_variables(k, n, Z)` holds them in
+that order and maps each to its position, for the last 8 vanishing sets,
+so the variables of one color are a run of positions. A key is sorted,
+and the key of a product is `tuple(sorted(a + b))` of the keys a and b
+of its factors, so a row entry is a dict lookup on small ints, with no
+`Monomial` built.
 grlex leads are still taken on `Monomial`, with `poly.grlex_rank`, and
 converted to keys once per call.
 
@@ -43,11 +45,12 @@ the one memo of a component, a {key: column} map keyed by (k, n, m,
 vanishing) and bounded to the last 8 keys: one m and the cofactor
 multidegrees of its generator groups. `k1basis` reads the same entries,
 as for k = 1 the vanishing set is the set of variables off the ones locus,
-and decodes them through `surviving_variables`.
+and decodes them through the variable tuple of `surviving_variables`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
@@ -63,14 +66,16 @@ Key = tuple[int, ...]
 # The variables of the last 8 vanishing sets: a sweep builds every
 # component of a pattern, at every eps, against one set.
 @lru_cache(maxsize=8)
-def surviving_variables(k: int, n: int,
-                        excluded: frozenset[Var]) -> dict[Var, int]:
-    """The colored Pluecker variables outside `excluded`, by color and
-    then subset lex, each mapped to its position in that order: position p
-    of a key is the p-th of them. Shared, so read-only."""
-    kept = [v for b in range(n) for I in combinations(range(1, n + 1), k)
-            if (v := ("D", b, I)) not in excluded]
-    return {v: p for p, v in enumerate(kept)}
+def surviving_variables(k: int, n: int, excluded: frozenset[Var]
+                        ) -> tuple[tuple[Var, ...], dict[Var, int]]:
+    """(variables, position): the colored Pluecker variables outside
+    `excluded`, by color and then subset lex, so that position p of a key
+    is variables[p], and the map of each to its position. Shared, so
+    read-only."""
+    kept = tuple(v for b in range(n)
+                 for I in combinations(range(1, n + 1), k)
+                 if (v := ("D", b, I)) not in excluded)
+    return kept, {v: p for p, v in enumerate(kept)}
 
 
 def _keys(k: int, n: int, m: tuple[int, ...],
@@ -88,11 +93,13 @@ def _keys(k: int, n: int, m: tuple[int, ...],
     if prod(comb(N + mb - 1, mb) for mb in m) > cap:
         raise groebner.ResourceCapExceeded(
             f"multidegree {m} has more than {cap} monomials")
-    positions: list[list[int]] = [[] for _ in m]
-    for (_, b, _), p in surviving_variables(k, n, excluded).items():
-        positions[b].append(p)
+    # ("D", b) sorts just before the variables of color b, so the
+    # positions of color b are range(start[b], start[b + 1]).
+    variables, _ = surviving_variables(k, n, excluded)
+    start = [bisect_left(variables, ("D", b)) for b in range(n + 1)]
+    colors = map(range, start, start[1:])
     return [sum(pick, ()) for pick in product(
-        *map(combinations_with_replacement, positions, m))]
+        *map(combinations_with_replacement, colors, m))]
 
 
 def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
@@ -104,7 +111,7 @@ def monomials_of_multidegree(k: int, n: int, m: tuple[int, ...],
     limit is checked before any key is built."""
     excluded = frozenset(excluded)
     keys = _keys(k, n, m, excluded)
-    variables = list(surviving_variables(k, n, excluded))
+    variables, _ = surviving_variables(k, n, excluded)
     return [Monomial(map(variables.__getitem__, key)) for key in keys]
 
 
@@ -169,7 +176,7 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
                          "component dimensions")
     k, n, zero = ideal.k, ideal.n, ideal.vanishing
     column = component_monomials(k, n, tuple(m), zero)
-    position = surviving_variables(k, n, zero)
+    _, position = surviving_variables(k, n, zero)
     groups = ideal.by_multidegree
     rows, leads, low = [], {}, None
     for d, gens in groups:

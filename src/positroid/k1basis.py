@@ -9,9 +9,10 @@ A variable sorts by color b, then index i, so the factors of color b read
 off `Monomial.factors` as a sorted index list. The admissible monomials of
 a multidegree are the keys of `hilbert.component_monomials` outside the
 ones-locus variables, the pattern ideal's vanishing set, decoded through
-`hilbert.surviving_variables` and filtered by the descent test; the
-enumeration meets `MAX_COMPONENT_MONOMIALS` before any key is built, and
-only `enumerate_admissible` builds a `Monomial`, for each admissible key.
+the variable tuple of `hilbert.surviving_variables` and filtered by the
+descent test; the enumeration meets `MAX_COMPONENT_MONOMIALS` before any
+key is built, and only `enumerate_admissible` builds a `Monomial`, for
+each admissible key.
 The set of variables off the ones locus is kept for the last 8 patterns,
 like the other per-pattern memos."""
 
@@ -118,13 +119,13 @@ def rewrite_to_normal_form(mon: Monomial, J: JugglingPattern):
 
 
 def _admissible(J: JugglingPattern, m: tuple[int, ...]
-                ) -> tuple[list[hilbert.Key], list[Var]]:
+                ) -> tuple[list[hilbert.Key], tuple[Var, ...]]:
     """The J-admissible monomials of multidegree m, lexicographically, as
     (keys, variables): the keys of the component outside the ones locus
     whose factors, decoded through `variables`, pass the descent test."""
     off = _off_ones_locus(J)
     keys = hilbert.component_monomials(1, J.n, tuple(m), off)
-    variables = list(hilbert.surviving_variables(1, J.n, off))
+    variables, _ = hilbert.surviving_variables(1, J.n, off)
     return [key for key in keys if _find_violation(_index_lists(
         map(variables.__getitem__, key), J.n)) is None], variables
 

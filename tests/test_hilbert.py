@@ -292,8 +292,8 @@ class TestSparseRows:
         [seen] = rank_rows
         column = hilbert.component_monomials(ideal.k, ideal.n, m,
                                              ideal.vanishing)
-        position = hilbert.surviving_variables(ideal.k, ideal.n,
-                                               ideal.vanishing)
+        _, position = hilbert.surviving_variables(ideal.k, ideal.n,
+                                                  ideal.vanishing)
         products = [{column[tuple(position[v] for v in t.factors)]: c
                      for t, c in (g * Polynomial({mu: 1})).terms.items()}
                     for g, mu in generator_products(ideal, m)]
@@ -386,15 +386,16 @@ class TestPositionKeys:
 
     @staticmethod
     def excluded(ideal, colors):
-        return ideal.vanishing | {v for v in hilbert.surviving_variables(
-            ideal.k, ideal.n, ideal.vanishing) if v[1] in colors}
+        variables, _ = hilbert.surviving_variables(ideal.k, ideal.n,
+                                                   ideal.vanishing)
+        return ideal.vanishing | {v for v in variables if v[1] in colors}
 
     @pytest.mark.parametrize("pattern,eps,m,colors", CASES)
     def test_keys_decode_to_the_monomials_in_column_order(
             self, pattern, eps, m, colors):
         ideal = global_positroid_ideal(parse_pattern(pattern), eps)
         zero = self.excluded(ideal, colors)
-        variables = list(hilbert.surviving_variables(ideal.k, ideal.n, zero))
+        variables, _ = hilbert.surviving_variables(ideal.k, ideal.n, zero)
         assert not any(v[1] in colors for v in variables)
         for q in multidegrees(ideal.n, sum(m)):
             column = hilbert.component_monomials(ideal.k, ideal.n, q, zero)
@@ -415,8 +416,8 @@ class TestPositionKeys:
         # tuple(sorted(t + mu)) is the key of the product monomial; in a
         # same-color group the concatenation is not sorted by itself.
         ideal = global_positroid_ideal(parse_pattern(pattern), eps)
-        position = hilbert.surviving_variables(ideal.k, ideal.n,
-                                               ideal.vanishing)
+        _, position = hilbert.surviving_variables(ideal.k, ideal.n,
+                                                  ideal.vanishing)
         column = hilbert.component_monomials(ideal.k, ideal.n, m,
                                              ideal.vanishing)
         unsorted = 0

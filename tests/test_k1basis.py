@@ -86,15 +86,16 @@ class TestAdmissibility:
 
     def test_count_reads_the_component_of_the_ideal(self, monkeypatch):
         # For k = 1 the ideal's vanishing set is the set of variables off
-        # the ones locus, so the count reuses the component just built.
+        # the ones locus, so the count reuses the component just built:
+        # it enumerates no monomial, which every component build does.
         J, m = P(1, 4, (2,), (1,), (1,), (3,)), (1, 0, 1, 1)
         hilbert.component_monomials.cache_clear()
         dim = hilbert.graded_component_dim(global_positroid_ideal(J, 1), m)
         calls = []
-        enumerate_full = hilbert.monomials_of_multidegree
-        monkeypatch.setattr(hilbert, "monomials_of_multidegree",
+        enumerate_color = hilbert.combinations_with_replacement
+        monkeypatch.setattr(hilbert, "combinations_with_replacement",
                             lambda *args: calls.append(args)
-                            or enumerate_full(*args))
+                            or enumerate_color(*args))
         assert count_admissible(J, m) == dim
         assert calls == []
 
