@@ -46,9 +46,9 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm
 
-from .patterns import all_subsets
 from .poly import EPSILON, Monomial, Polynomial, Var, dedup, grlex_rank
 
 
@@ -322,7 +322,8 @@ def plucker_universe(k: int, n: int,
                      with_epsilon: bool = False) -> tuple[Var, ...]:
     """The ordered variable universe: Pluecker variables by color then
     subset lex, epsilon last."""
-    vs = [("D", a, I.elements) for a in range(n) for I in all_subsets(k, n)]
+    subsets = list(combinations(range(1, n + 1), k))
+    vs = [("D", a, I) for a in range(n) for I in subsets]
     if with_epsilon:
         vs.append(EPSILON)
     return tuple(vs)

@@ -22,10 +22,11 @@ with t over the terms of g_i and s over the non-lead terms of g_j. Each
 row on the right is a row of the same matrix: it has multidegree m and no
 variable in Z. It is a row of an earlier generator, or a row of g_i whose
 cofactor nu s is grlex-smaller than mu. By induction on i, then on mu, the
-skipped rows add nothing to the span. A lead cannot divide a cofactor of
-smaller degree, so a group whose cofactor degree is below the lowest
-generator degree skips nothing and computes no lead: for the quadric
-ideals of the package that is every component of total degree at most 3.
+skipped rows add nothing to the span. A lead lt(g_j) divides a cofactor
+of g_i only if |m| >= deg g_i + deg g_j, so a component with |m| below
+twice the lowest generator degree skips nothing and takes no lead: for
+the quadric ideals of the package that is every component of total
+degree at most 3.
 
 A monomial of S' is written as its key, the tuple of its factors'
 positions among the variables of S', which are ordered by color and then
@@ -34,9 +35,16 @@ that order and maps each to its position, for the last 8 vanishing sets,
 so the variables of one color are a run of positions. A key is sorted,
 and the key of a product is `tuple(sorted(a + b))` of the keys a and b
 of its factors, so a row entry is a dict lookup on small ints, with no
-`Monomial` built.
-grlex leads are still taken on `Monomial`, with `poly.grlex_rank`, and
-converted to keys once per call.
+`Monomial` built. The grlex leads are taken on `Monomial`, with
+`poly.grlex_rank`, and converted to keys once per call.
+
+The skipped cofactors of the group of multidegree d are one set,
+`blocked`, of keys of multidegree m - d. Before the group's rows it
+takes the multiples lt(g_j) * nu of the leads of each earlier group of
+multidegree d_j, with nu over the keys of multidegree m - d - d_j,
+enumerated once per earlier group. After the rows of each generator of
+the group, the multiples of that generator's own lead join it. The row
+mu * g is built exactly when mu is not in `blocked`.
 
 A sweep asks for the same component of one pattern at several values of
 eps, and its basis and cofactor monomials depend only on (k, n, m) and the
@@ -52,9 +60,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb, prod
-from operator import le, sub
+from operator import sub
 from typing import AbstractSet
 
 from . import groebner, linalg
@@ -69,12 +77,11 @@ Key = tuple[int, ...]
 def surviving_variables(k: int, n: int, excluded: frozenset[Var]
                         ) -> tuple[tuple[Var, ...], dict[Var, int]]:
     """(variables, position): the colored Pluecker variables outside
-    `excluded`, by color and then subset lex, so that position p of a key
-    is variables[p], and the map of each to its position. Shared, so
-    read-only."""
-    kept = tuple(v for b in range(n)
-                 for I in combinations(range(1, n + 1), k)
-                 if (v := ("D", b, I)) not in excluded)
+    `excluded`, in the order of `groebner.plucker_universe`, by color and
+    then subset lex, so that position p of a key is variables[p], and the
+    map of each to its position. Shared, so read-only."""
+    kept = tuple(v for v in groebner.plucker_universe(k, n)
+                 if v not in excluded)
     return kept, {v: p for p, v in enumerate(kept)}
 
 
@@ -124,36 +131,6 @@ def component_monomials(k: int, n: int, m: tuple[int, ...],
     return {key: i for i, key in enumerate(_keys(k, n, m, excluded))}
 
 
-def _first_divisors(ideal: groebner.Ideal, diff: tuple[int, ...],
-                    last: tuple, leads: dict,
-                    position: dict[Var, int]) -> dict[Key, int]:
-    """The keys of the cofactors of multidegree `diff` that the lead of a
-    generator of `ideal.by_multidegree` up to the group `last` divides,
-    each mapped to the first such generator: -1 for one of an earlier
-    group, its index in `last` for one of `last`.
-
-    Only a group with multidegree d <= diff has such leads; they are
-    computed once per `graded_component_dim` call, as keys by `position`,
-    into `leads` under the group's index, and divide exactly the products
-    lead * nu with nu of multidegree diff - d. When that is zero, the lead
-    itself is the only one."""
-    first = {}
-    for j, (d, gens) in enumerate(ideal.by_multidegree):
-        if all(map(le, d, diff)):
-            if j not in leads:
-                leads[j] = [tuple(map(position.__getitem__,
-                                      min(g.terms, key=grlex_rank).factors))
-                            for g in gens]
-            multiples = _keys(ideal.k, ideal.n, tuple(map(sub, diff, d)),
-                              ideal.vanishing)
-            for t, lead in enumerate(leads[j]):
-                for nu in multiples:
-                    first.setdefault(tuple(sorted(lead + nu)),
-                                     t if gens is last else -1)
-        if gens is last:
-            return first
-
-
 def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     """Dimension of the multidegree-m component of the quotient ring.
 
@@ -167,9 +144,10 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     primitive, so each coefficient has denominator 1, and the row holds
     its numerator, an int. The product mu * g_i is left out when the lead
     of an earlier generator g_j, in the order of the groups and within a
-    group, divides mu (`_first_divisors`): the module docstring shows
-    that it adds nothing to the span. A group whose cofactor degree is
-    below the lowest generator degree has no such mu and computes no lead.
+    group, divides mu, that is when mu is in the group's `blocked` set:
+    the module docstring shows that it adds nothing to the span. Below
+    |m| = twice the lowest generator degree no lead divides any mu, and
+    none is taken.
     """
     if ideal.has_epsilon:
         raise ValueError("specialize epsilon before computing graded "
@@ -178,21 +156,32 @@ def graded_component_dim(ideal: groebner.Ideal, m: tuple[int, ...]) -> int:
     column = component_monomials(k, n, tuple(m), zero)
     _, position = surviving_variables(k, n, zero)
     groups = ideal.by_multidegree
-    rows, leads, low = [], {}, None
+    deep = sum(m) >= 2 * min((sum(d) for d, _ in groups), default=0)
+    rows, earlier = [], []
     for d, gens in groups:
-        diff = tuple(mb - db for mb, db in zip(m, d))
-        if any(x < 0 for x in diff):
+        diff = tuple(map(sub, m, d))
+        if min(diff) < 0:
             continue
         cofactors = component_monomials(k, n, diff, zero)
-        first = {}
-        if any(diff):
-            if low is None:
-                low = min(sum(dj) for dj, _ in groups)
-            if sum(diff) >= low:
-                first = _first_divisors(ideal, diff, gens, leads, position)
+        blocked, leads, own = set(), (), ()
+        if deep:
+            for dj, lj in earlier:
+                q = tuple(map(sub, diff, dj))
+                if min(q) >= 0:
+                    nus = _keys(k, n, q, zero)
+                    blocked.update(tuple(sorted(a + nu))
+                                   for a in lj for nu in nus)
+            leads = [tuple(map(position.__getitem__,
+                               min(g.terms, key=grlex_rank).factors))
+                     for g in gens]
+            earlier.append((d, leads))
+            q = tuple(map(sub, diff, d))
+            if min(q) >= 0:
+                own = _keys(k, n, q, zero)
         for t, g in enumerate(gens):
             terms = [(tuple(map(position.__getitem__, mono.factors)),
                       c.numerator) for mono, c in g.terms.items()]
             rows += ({column[tuple(sorted(a + mu))]: c for a, c in terms}
-                     for mu in cofactors if first.get(mu, t) >= t)
+                     for mu in cofactors if mu not in blocked)
+            blocked.update(tuple(sorted(leads[t] + nu)) for nu in own)
     return len(column) - linalg.rank(rows)

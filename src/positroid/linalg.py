@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals: echelon form, span test, rank
 and determinant.
 
-A matrix is given by its rows, each either dense, a sequence of entries,
-or sparse, a mapping {column: entry} that may leave zeros out; entries are
-ints or Fractions. All rest on one fraction-free row reduction, `_reduce`,
-which reduces one sparse integer row against rows kept so far, dividing it
-by its content after every step. `echelon` keeps each row that does not
+A matrix is given by its rows, each either dense, a list or tuple of
+entries, or sparse, a dict {column: entry} that may leave zeros out;
+entries are ints or Fractions. All rest on one fraction-free row
+reduction, `_reduce`, which reduces one sparse integer row against rows
+kept so far, dividing it by its content after every step. `echelon` keeps each row that does not
 reduce to zero, `in_span` asks whether a row does against a given echelon,
 and `rank` and `det` read the kept rows of `echelon`. The kept rows are
 keyed by pivot, so the pivot columns are `sorted(echelon(rows))`. A kept
@@ -20,14 +20,15 @@ appended to its rows.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .poly import sort_sign
 
-# A dense row [entry, ...] or a sparse row {column: entry}.
-_Row = Sequence | Mapping[int, object]
+# A dense row, a list or tuple [entry, ...], or a sparse row, a dict
+# {column: entry}, told apart by the cheap `isinstance(row, dict)`.
+_Row = Sequence | dict[int, object]
 # The kept rows of an echelon form, keyed by pivot: each a sparse primitive
 # integer row {column: entry}.
 Echelon = dict[int, dict[int, int]]
@@ -42,7 +43,7 @@ def _reduce(kept: Echelon, row: _Row) -> tuple[int, dict[int, int]] | None:
     a sparse primitive integer row {column: entry}: a nonzero multiple of
     the row minus multiples of the kept rows.
     """
-    r = {c: x for c, x in (row.items() if isinstance(row, Mapping)
+    r = {c: x for c, x in (row.items() if isinstance(row, dict)
                            else enumerate(row)) if x}
     d = lcm(*(x.denominator for x in r.values()))
     r = {c: x.numerator * (d // x.denominator) for c, x in r.items()}
@@ -109,7 +110,7 @@ def det(rows: Sequence[_Row]) -> Fraction:
     k = len(rows)
     unit = []
     for i, row in enumerate(rows):
-        if not isinstance(row, Mapping):
+        if not isinstance(row, dict):
             if len(row) != k:
                 raise ValueError(f"row {i} has length {len(row)}, not {k}")
             row = dict(enumerate(row))

@@ -18,7 +18,7 @@ from positroid.ideals import (
     schubert_vanishing_generators,
 )
 from positroid.patterns import enumerate_patterns, parse_pattern
-from positroid.poly import Monomial, Polynomial
+from positroid.poly import Monomial, Polynomial, grlex_rank
 from support import D, multidegrees, standard_monomial_count
 
 EPSILONS = (Fraction(0), Fraction(1), Fraction(-2, 3))
@@ -277,6 +277,20 @@ class TestExcludedVariables:
             monomials_of_multidegree(2, 5, (16, 0, 0, 0, 0), everything)
 
 
+# The components of the hilbert-deep benchmark workload: pattern, then m,
+# dimension and count of generator products, the same at eps 0 and 2.
+DEEP_COMPONENTS = {"1,1,2": ((3, 3, 2), 9, 75),
+                   "12|12|12": ((3, 3, 2), 45, 1728),
+                   "12|13|23": ((3, 2, 2), 1, 0),
+                   "1,2,1,2": ((1, 1, 1, 1), 5, 24)}
+# The rows each keeps at eps 0 and 2, once the Koszul filter leaves out
+# the products whose cofactor an earlier lead divides.
+DEEP_ROWS = [("1,1,2", 0, 46), ("1,1,2", 2, 48),
+             ("12|12|12", 0, 737), ("12|12|12", 2, 801),
+             ("12|13|23", 0, 0), ("12|13|23", 2, 0),
+             ("1,2,1,2", 0, 21), ("1,2,1,2", 2, 21)]
+
+
 class TestSparseRows:
     @pytest.mark.parametrize("eps", (0, 1))
     def test_rows_are_sparse_generator_products(self, eps, rank_rows):
@@ -313,23 +327,42 @@ class TestSparseRows:
                     assert all(c.denominator == 1
                                for c in g.terms.values()), (str(J), eps)
 
-    @pytest.mark.parametrize("eps,count", [(0, 737), (2, 801)])
-    def test_rows_left_out_of_a_deep_component(self, eps, count, rank_rows):
+    @pytest.mark.parametrize(
+        "pattern,eps,count", DEEP_ROWS,
+        ids=[f"{eps}-{count}" for _, eps, count in DEEP_ROWS])
+    def test_rows_left_out_of_a_deep_component(self, pattern, eps, count,
+                                               rank_rows):
         # 12|12|12 at m = (3, 3, 2) has 1,728 generator products, of which
         # only 555 are independent.
-        ideal = global_positroid_ideal(parse_pattern("12|12|12"), eps)
-        assert graded_component_dim(ideal, (3, 3, 2)) == 45
-        assert len(generator_products(ideal, (3, 3, 2))) == 1728
+        m, dim, products = DEEP_COMPONENTS[pattern]
+        ideal = global_positroid_ideal(parse_pattern(pattern), eps)
+        assert graded_component_dim(ideal, m) == dim
+        assert len(generator_products(ideal, m)) == products
         assert [len(rows) for rows in rank_rows] == [count]
 
+    def test_no_lead_below_twice_the_lowest_degree(self, monkeypatch):
+        # Every generator here is at least quadric, so no component of
+        # total degree 3 or less takes a grlex lead; a deep one does.
+        calls = []
+
+        def counted(mono):
+            calls.append(mono)
+            return grlex_rank(mono)
+        monkeypatch.setattr(hilbert, "grlex_rank", counted)
+        for k, n in ((1, 4), (2, 4)):
+            for J in enumerate_patterns(k, n):
+                for eps in (0, 1):
+                    ideal = global_positroid_ideal(J, eps)
+                    for m in multidegrees(n, 3):
+                        graded_component_dim(ideal, m)
+        assert calls == []
+        ideal = global_positroid_ideal(parse_pattern("12|12|12"), 0)
+        graded_component_dim(ideal, (3, 3, 2))
+        assert calls
+
     @pytest.mark.parametrize("pattern,m,dim", [
-        ("1,1,2", (3, 3, 2), 9),
-        ("12|12|12", (3, 3, 2), 45),
-        ("12|13|23", (3, 2, 2), 1),
-        ("1,2,1,2", (1, 1, 1, 1), 5),
-    ])
+        (pattern, m, dim) for pattern, (m, dim, _) in DEEP_COMPONENTS.items()])
     def test_large_components(self, pattern, m, dim):
-        # The components of the hilbert-deep benchmark workload.
         ideal = global_positroid_ideal(parse_pattern(pattern))
         for eps in (0, 2):
             assert graded_component_dim(ideal.specialize(eps), m) == dim
