@@ -48,6 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from typing import Iterable
 
 from .poly import EPSILON, Monomial, Polynomial, Var, dedup, grlex_rank
 
@@ -334,6 +335,63 @@ def _is_linear(g: Polynomial) -> bool:
     return len(g.terms) == 1 and g.total_degree() == 1
 
 
+def _row(g: Polynomial, n: int, term_masks: tuple[int, ...]) -> tuple:
+    # The row of g that the normal form of `Ideal` reads; `by_multidegree`
+    # skips a single variable, so its multidegree is not taken.
+    mask = 0
+    for t in term_masks:
+        mask |= t
+    if _is_linear(g):
+        return g, mask, term_masks, None, True
+    return g, mask, term_masks, g.multidegree(n), False
+
+
+def _linear_mask(rows: tuple) -> int:
+    # The variables of the single-variable rows, as one mask.
+    out = 0
+    for _, mask, _, _, linear in rows:
+        if linear:
+            out |= mask
+    return out
+
+
+def _vanishing(rows: tuple) -> frozenset[Var]:
+    # The variables of the single-variable rows.
+    return frozenset(v for g, _, _, _, linear in rows if linear
+                     for v in g.variables())
+
+
+class GeneratorTable:
+    """Generators made primitive and deduplicated (`poly.dedup`), each as
+    the row that the normal form of `Ideal` reads: (g, the bitmask of its
+    variables, one bitmask per term in the order of `g.terms`, its
+    multidegree or None if it is inhomogeneous, whether it is a single
+    variable), followed by the rows of `tail`, a table on the same `bits`.
+    `bits` maps each variable to its bit; a variable it lacks gets the
+    next free bit when first seen.
+
+    `ideals` keeps one table per specialized pattern-free family, on the
+    bits of the whole variable universe, and puts a pattern's vanishing
+    monomials in front of it, so that the masks are computed once per
+    family and not once per ideal."""
+
+    __slots__ = ("bits", "rows")
+
+    def __init__(self, generators: Iterable[Polynomial], n: int,
+                 bits: dict[Var, int] | None = None, tail: tuple = ()):
+        self.bits = bits = {} if bits is None else bits
+        rows = []
+        for g in dedup(generators):
+            term_masks = []
+            for m in g.terms:
+                t = 0
+                for v in m.factors:
+                    t |= bits.get(v) or bits.setdefault(v, 1 << len(bits))
+                term_masks.append(t)
+            rows.append(_row(g, n, tuple(term_masks)))
+        self.rows = (*rows, *tail)
+
+
 @dataclass
 class Ideal:
     """An ideal in the colored Pluecker ring, optionally with epsilon.
@@ -342,7 +400,16 @@ class Ideal:
     `vanishing`: the variable is zero on every fiber. Construction drops
     the terms in a vanishing variable from every other generator and dedups
     the result (`poly.dedup`), until no new variable vanishes. Callers pass
-    raw generator families and rely on this normal form.
+    raw generator families, or a `GeneratorTable` of them, and rely on this
+    normal form.
+
+    The normal form reads the rows of the table, built here from raw
+    generators. In each round the single-variable rows give the vanishing
+    mask; a row whose mask misses it is kept as the same object, a row
+    each of whose terms meets it is dropped unbuilt, and only a row that
+    keeps some of its terms is rebuilt with `Polynomial.without`. A
+    rebuilt generator that is a single variable stays in the next round
+    as a single-variable row, and its variable vanishes too.
     """
 
     k: int
@@ -350,26 +417,38 @@ class Ideal:
     generators: tuple[Polynomial, ...]
     has_epsilon: bool = True
     vanishing: frozenset[Var] = field(init=False, compare=False)
+    _rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.vanishing = None
-        while self.vanishing != (zero := frozenset(
-                v for g in self.generators if _is_linear(g)
-                for v in g.variables())):
-            self.vanishing = zero
-            self.generators = tuple(dedup(
-                g if _is_linear(g) else g.without(zero)
-                for g in self.generators))
+        table = self.generators
+        if not isinstance(table, GeneratorTable):
+            table = GeneratorTable(table, self.n)
+        rows, mask = table.rows, None
+        while mask != (new := _linear_mask(rows)):
+            mask, zero, kept = new, None, {}
+            for row in rows:
+                g, g_mask, term_masks, _, linear = row
+                if linear or not g_mask & mask:
+                    kept.setdefault(g, row)
+                elif not all(map(mask.__and__, term_masks)):
+                    if zero is None:
+                        zero = _vanishing(rows)
+                    g = g.without(zero).primitive()
+                    kept.setdefault(g, _row(g, self.n, tuple(
+                        t for t in term_masks if not t & mask)))
+            rows = tuple(kept.values())
+        self.generators = tuple(row[0] for row in rows)
+        self.vanishing = _vanishing(rows)
+        self._rows = rows
 
     @cached_property
     def by_multidegree(self) -> tuple:
         """Read-only (multidegree, generators) groups of the generators that
         are not vanishing variables; ValueError if one is inhomogeneous."""
         groups: dict[tuple[int, ...], list[Polynomial]] = {}
-        for g in self.generators:
-            if _is_linear(g):
+        for g, _, _, d, linear in self._rows:
+            if linear:
                 continue
-            d = g.multidegree(self.n)
             if d is None:
                 raise ValueError(f"generator is not multihomogeneous: {g!r}")
             groups.setdefault(d, []).append(g)

@@ -13,16 +13,21 @@ their variables from the others.
 
 A flatness check asks for the ideal of every pattern of one (k, n) at the
 same few values of eps. `global_positroid_ideal(J, eps)` builds the
-specialized ideal directly: the pattern-free generators are specialized
-and deduplicated once per (k, n, eps), J's Schubert vanishing monomials,
-which do not depend on eps, are built once per pattern by
-`schubert_vanishing_generators`, which is its own memo, and the ideal's
-normal form renormalizes only the generators that a vanishing variable
-touches. Both are shared through caches bounded to their last 8 keys,
-(k, n, eps) and the pattern J, and nothing under the latter is cached.
-The pattern-free family itself is built once per (k, n), in the one
-unbounded cache of the package, and only when its count of readings is
-within `groebner.MAX_GENERATOR_READINGS`.
+specialized ideal directly. The pattern-free generators are specialized
+and deduplicated once per (k, n, eps) into a `groebner.GeneratorTable`:
+each generator with the bitmask of its variables, one bitmask per term
+and its multidegree, on one bit per variable of the universe. J's
+Schubert vanishing monomials, which do not depend on eps, are built once
+per pattern by `schubert_vanishing_generators`, which is its own memo,
+and go in front of the table. The normal form of `groebner.Ideal` then
+decides each family generator by masks: one that no vanishing variable
+touches is kept as it is, one whose every term holds a vanishing variable
+is dropped without being built, and only one that keeps some of its terms
+is rebuilt. The table and the vanishing monomials are shared through
+caches bounded to their last 8 keys, (k, n, eps) and the pattern J, and
+nothing under the latter is cached. The pattern-free family itself is
+built once per (k, n), in the one unbounded cache of the package, and
+only when its count of readings is within `groebner.MAX_GENERATOR_READINGS`.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import groebner
-from .groebner import Ideal
+from .groebner import GeneratorTable, Ideal
 from .patterns import JugglingPattern, KSubset, all_subsets
 from .poly import Polynomial, dedup
 
@@ -157,9 +162,12 @@ def pattern_free_generators(k: int, n: int) -> tuple[Polynomial, ...]:
 # sweep reads one (k, n) at a few values of eps.
 @lru_cache(maxsize=8)
 def _specialized_pattern_free_generators(k: int, n: int, epsilon: Fraction
-                                         ) -> tuple[Polynomial, ...]:
-    return tuple(dedup(g.substitute_epsilon(epsilon)
-                       for g in pattern_free_generators(k, n)))
+                                         ) -> GeneratorTable:
+    # On the bits of the whole universe, which hold every vanishing variable.
+    universe = groebner.plucker_universe(k, n, with_epsilon=True)
+    return GeneratorTable((g.substitute_epsilon(epsilon)
+                           for g in pattern_free_generators(k, n)), n,
+                          {v: 1 << i for i, v in enumerate(universe)})
 
 
 def global_positroid_ideal(J: JugglingPattern, epsilon=None) -> Ideal:
@@ -167,6 +175,11 @@ def global_positroid_ideal(J: JugglingPattern, epsilon=None) -> Ideal:
     of J and the pattern-free generators; with a rational `epsilon`, the
     ideal specialized at it, equal to `global_positroid_ideal(J)
     .specialize(epsilon)` with the generators in the same order.
+
+    The specialized ideal is built from the table of its family, held once
+    per (k, n, eps), with the rows of J's vanishing monomials in front: the
+    normal form of `Ideal` keeps, drops or rebuilds each family generator
+    by its masks. Without `epsilon`, `Ideal` builds the table itself.
 
     The vanishing monomials with a shift c >= 1 lie in the saturation of
     the ideal generated by those of shift 0 and the shift relations, with
@@ -178,5 +191,6 @@ def global_positroid_ideal(J: JugglingPattern, epsilon=None) -> Ideal:
     schubert = schubert_vanishing_generators(J)
     if epsilon is None:
         return Ideal(J.k, J.n, schubert + pattern_free_generators(J.k, J.n))
-    return Ideal(J.k, J.n, schubert + _specialized_pattern_free_generators(
-        J.k, J.n, Fraction(epsilon)), has_epsilon=False)
+    family = _specialized_pattern_free_generators(J.k, J.n, Fraction(epsilon))
+    return Ideal(J.k, J.n, GeneratorTable(schubert, J.n, family.bits,
+                                          family.rows), has_epsilon=False)

@@ -103,9 +103,11 @@ MONOMIAL_ONE = Monomial()
 
 class Polynomial:
     """Sparse polynomial with exact rational coefficients; canonical form
-    keeps no zero coefficients. Equality is structural."""
+    keeps no zero coefficients. Equality is structural. Nothing changes
+    `terms` after construction, so the hash is taken once, when first
+    asked for, and kept."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         self.terms = {m: x for m, c in (terms or {}).items()
@@ -141,7 +143,11 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     @classmethod
     def _of(cls, terms: dict) -> "Polynomial":

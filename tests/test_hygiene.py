@@ -180,3 +180,42 @@ def test_caches_are_bounded():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and any(map(_is_unbounded_cache, node.decorator_list)))
     assert unbounded == UNBOUNDED_CACHES
+
+
+# Every memo of the package, by module: each object a sweep reuses has
+# exactly one.
+MEMOS = {"hilbert.surviving_variables", "hilbert.component_monomials",
+         "ideals.schubert_vanishing_generators",
+         "ideals.pattern_free_generators",
+         "ideals._specialized_pattern_free_generators",
+         "k1basis._off_ones_locus"}
+CACHES = {"cache", "lru_cache"}
+
+
+def _cache_name(node):
+    # "cache" or "lru_cache" for a reference to either, bare or as a
+    # `functools` attribute, called or not.
+    node = node.func if isinstance(node, ast.Call) else node
+    name = getattr(node, "attr", getattr(node, "id", None))
+    return name if name in CACHES else None
+
+
+def test_every_memo_is_named():
+    # Each cache is a decorator of one module-level function named in
+    # MEMOS; a cache built any other way is a reference to `cache` or
+    # `lru_cache` outside a decorator, and fails the count.
+    memos, stray = set(), []
+    for path in sorted((ROOT / "src" / "positroid").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorated = [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                     for d in node.decorator_list if _cache_name(d)]
+        references = sum(1 for node in ast.walk(tree)
+                         if isinstance(node, (ast.Name, ast.Attribute))
+                         and _cache_name(node))
+        if references != len(decorated):
+            stray.append(path.name)
+        memos.update(decorated)
+    assert not stray, "caches outside a decorator: " + ", ".join(stray)
+    assert memos == MEMOS

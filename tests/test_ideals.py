@@ -20,7 +20,7 @@ from positroid.ideals import (
 )
 from positroid.k1basis import is_admissible
 from positroid.patterns import all_subsets, enumerate_patterns, rotate
-from positroid.poly import EPSILON, Monomial, Polynomial, poly_to_text
+from positroid.poly import EPSILON, Monomial, Polynomial, dedup, poly_to_text
 from support import D, P, constant_pattern, multidegrees
 
 
@@ -319,6 +319,33 @@ class TestGlobalIdeal:
                 assert ([poly_to_text(g) for g in direct.generators]
                         == [poly_to_text(g) for g in expected.generators])
                 assert not direct.has_epsilon
+                # The same groups in the same order, each with the same
+                # generators in the same order: the Koszul blocked set and
+                # the rows of a graded component follow them.
+                assert direct.by_multidegree == expected.by_multidegree, (
+                    str(J), eps)
+
+    def test_only_partly_vanishing_generators_are_rebuilt(self, monkeypatch):
+        # With the family table warm, a generator that the vanishing set
+        # misses is kept and one it meets in every term is dropped, both
+        # by their masks: only one that keeps some but not all of its
+        # terms goes through `Polynomial.without`.
+        patterns = enumerate_patterns(2, 4)
+        calls = []
+        without = Polynomial.without
+        monkeypatch.setattr(Polynomial, "without",
+                            lambda g, zero: calls.append(g) or without(g, zero))
+        for eps in (0, 1):
+            global_positroid_ideal(patterns[0], eps)
+            family = dedup(g.substitute_epsilon(eps)
+                           for g in pattern_free_generators(2, 4))
+            for J in patterns:
+                calls.clear()
+                zero = global_positroid_ideal(J, eps).vanishing
+                partial = sum(
+                    0 < sum(zero.isdisjoint(m.factors) for m in g.terms)
+                    < len(g.terms) for g in family)
+                assert len(calls) <= partial, (str(J), eps)
 
 
 def _relabeled(g, n):
